@@ -105,13 +105,15 @@ def cmd_bounds(args) -> int:
 
 def cmd_verify_tensor(args) -> int:
     setting = BINARY if args.setting == "binary" else MOD
+    if args.samples is None:
+        kwargs = dict(mode="exhaustive")
+    else:
+        kwargs = dict(mode="sampled", samples=args.samples, seed=args.seed)
     ts = tensor_mod.expand_tensor(setting, args.n, args.D)
-    dec = tensor_mod.decompose(ts)
-    mode = "sampled" if args.samples else "exhaustive"
-    kwargs = dict(mode=mode, workers=args.workers)
-    if args.samples:
-        kwargs.update(samples=args.samples, seed=args.seed)
+    # verifying the expansion before decomposing frees the expansion check's
+    # regrouped table before the slices are built
     ok_e, wit_e = tensor_mod.verify_expansion(ts, **kwargs)
+    dec = tensor_mod.decompose(ts)
     ok_d, wit_d = tensor_mod.verify_decomposition(dec, **kwargs)
     closed = (
         bounds_mod.constant_weight_bound(args.n)
@@ -137,7 +139,6 @@ def cmd_search(args) -> int:
         D=args.D,
         node_budget=args.budget,
         symmetry=not args.no_symmetry,
-        workers=args.workers,
     )
     result = search_mod.max_free_family(cfg)
     report = search_mod.validate_against_bounds(result, cfg)
@@ -224,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exhaustive", action="store_true", help="full domain (default)")
     group.add_argument("--samples", type=int, default=None, help="seeded random points")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_verify_tensor)
 
     p = sub.add_parser("search", help="branch-and-bound maximum free family")
@@ -233,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, default=None)
     p.add_argument("--budget", type=int, default=2_000_000, help="node budget")
     p.add_argument("--no-symmetry", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", default=None, help="write the search report as JSON")
     p.add_argument("--witness-out", default=None, help="write the witness in family text format")
     p.set_defaults(func=cmd_search)

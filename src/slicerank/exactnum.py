@@ -65,7 +65,8 @@ def cyclotomic_poly(D: int) -> tuple[int, ...]:
             den = _poly_mul(den, list(cyclotomic_poly(d)))
     num = [-1] + [0] * (D - 1) + [1]
     quot, rem = _poly_divmod_monic(num, den)
-    assert not any(rem), "cyclotomic division left a remainder"
+    if any(rem):
+        raise ArithmeticError("cyclotomic division left a remainder")
     return tuple(quot)
 
 

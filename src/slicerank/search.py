@@ -5,8 +5,7 @@ family is extended by candidates above its largest member, each insertion
 is checked against all pairs already present, and a branch is cut when even
 taking every remaining candidate cannot reach the best size found.  Ties
 with the current best are still explored so that the reported witness is
-the lexicographically least maximum family no matter how branches are
-scheduled.
+the lexicographically least maximum family.
 
 Symmetry reduction keeps only partial families that are lexicographically
 least in their orbit under coordinate permutations (and per-coordinate
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 
@@ -37,7 +35,6 @@ class SearchConfig:
     node_budget: int = 2_000_000
     time_budget: float | None = None
     symmetry: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         if self.setting not in (BINARY, MOD, CAPSET):
@@ -46,8 +43,8 @@ class SearchConfig:
             raise ValueError("capset search is over F_3")
         if self.setting == MOD and (self.D is None or self.D < 3):
             raise ValueError("mod-D search needs D >= 3")
-        if self.node_budget <= 0 or self.workers <= 0:
-            raise ValueError("budgets and workers must be positive")
+        if self.node_budget <= 0:
+            raise ValueError("the node budget must be positive")
 
     @property
     def alphabet(self) -> int:
@@ -184,46 +181,15 @@ def max_free_family(cfg: SearchConfig) -> SearchResult:
     maximum family.  If a budget runs out the best family found so far is
     returned with the optimality flag off."""
     group = _symmetry_group(cfg) if cfg.symmetry else None
-    cands = _candidates(cfg)
-
-    if cfg.workers <= 1:
-        search = _Search(cfg, group)
-        complete = True
-        try:
-            search._visit(())
-            search.run((), 0)
-        except _Budget:
-            complete = False
-        best = search.best or ()
-        return SearchResult(len(best), complete, _to_family(cfg, best), search.nodes)
-
-    # static split over first-member branches; no shared state, so the
-    # outcome (and the node count) is independent of scheduling
-    def branch(i: int):
-        sub = _Search(cfg, group)
-        first = (cands[i],)
-        if group is not None and not _is_canonical(first, group):
-            return 0, None, 0, True
-        try:
-            sub._visit(first)
-            sub.run(first, i + 1)
-        except _Budget:
-            return sub.best_size, sub.best, sub.nodes, False
-        return sub.best_size, sub.best, sub.nodes, True
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = list(pool.map(branch, range(len(cands))))
-    best: tuple = ()
-    nodes = 1  # the empty family
+    search = _Search(cfg, group)
     complete = True
-    for size, members, branch_nodes, branch_done in results:
-        nodes += branch_nodes
-        complete = complete and branch_done
-        if members is not None and (
-            size > len(best) or (size == len(best) and members < best)
-        ):
-            best = members
-    return SearchResult(len(best), complete, _to_family(cfg, best), nodes)
+    try:
+        search._visit(())
+        search.run((), 0)
+    except _Budget:
+        complete = False
+    best = search.best or ()
+    return SearchResult(len(best), complete, _to_family(cfg, best), search.nodes)
 
 
 def brute_force_max(cfg: SearchConfig) -> int:

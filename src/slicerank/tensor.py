@@ -28,7 +28,6 @@ import itertools
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,24 +132,7 @@ class TermSum:
 
     def value_at(self, x, y, z):
         """Exact evaluation; int in the binary setting, Fraction mod-D."""
-        if self.setting == BINARY:
-            bx, by, bz = (v.bits if isinstance(v, SubsetVector) else _mask(v) for v in (x, y, z))
-            total = 0
-            for num, fx, fy, fz in self.terms:
-                if fx & ~bx == 0 and fy & ~by == 0 and fz & ~bz == 0:
-                    total += num
-            return total
-        D = self.D
-        tx, ty, tz = (v.coords if isinstance(v, DVector) else tuple(v) for v in (x, y, z))
-        buckets = [0] * D
-        for num, fx, fy, fz in self.terms:
-            e = _dot(fx, tx, self.n, D) + _dot(fy, ty, self.n, D) + _dot(fz, tz, self.n, D)
-            buckets[e % D] += num
-        value = CycFrac.make(CycElem.from_power_vector(D, buckets), self.denominator)
-        frac = value.as_fraction()
-        if frac is None:
-            raise ArithmeticError("expansion evaluated to an irrational value")
-        return frac
+        return _value_at(self, x, y, z)
 
 
 def _mask(coords) -> int:
@@ -159,14 +141,6 @@ def _mask(coords) -> int:
         if c:
             bits |= 1 << i
     return bits
-
-
-def _dot(f: int, point, n: int, D: int) -> int:
-    total = 0
-    for c in point:
-        f, r = divmod(f, D)
-        total += r * c
-    return total % D
 
 
 def expand_tensor(
@@ -253,34 +227,7 @@ class SliceDecomposition:
 
     def value_at(self, x, y, z):
         """Exact slice-sum evaluation (the quantity verify checks)."""
-        pts = _points_of(self, (x, y, z))
-        if self.setting == BINARY:
-            total = 0
-            for sl in self.slices:
-                a, b = _OTHER_AXES[sl.axis]
-                if sl.factor & ~pts[sl.axis] == 0:
-                    for num, fa, fb in sl.residual:
-                        if fa & ~pts[a] == 0 and fb & ~pts[b] == 0:
-                            total += num
-            return total
-        D = self.D
-        buckets = [0] * D
-        for sl in self.slices:
-            a, b = _OTHER_AXES[sl.axis]
-            e0 = _dot(sl.factor, pts[sl.axis], self.n, D)
-            for num, fa, fb in sl.residual:
-                e = e0 + _dot(fa, pts[a], self.n, D) + _dot(fb, pts[b], self.n, D)
-                buckets[e % D] += num
-        frac = CycFrac.make(CycElem.from_power_vector(D, buckets), self.denominator).as_fraction()
-        if frac is None:
-            raise ArithmeticError("slice sum evaluated to an irrational value")
-        return frac
-
-
-def _points_of(dec, triple):
-    if dec.setting == BINARY:
-        return tuple(v.bits if isinstance(v, SubsetVector) else _mask(v) for v in triple)
-    return tuple(v.coords if isinstance(v, DVector) else tuple(v) for v in triple)
+        return _value_at(self, x, y, z)
 
 
 def _threshold(setting: str, n: int) -> int:
@@ -387,36 +334,56 @@ def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
 
 # ---------------------------------------------------------------------------
 # pointwise verification
+#
+# Each setting has one evaluator, and both the expansion and the
+# decomposition are fed to it as one table shape.  Binary keeps terms grouped
+# as (axis, factor, residual): a factor that is not a subset of the point's
+# mask on its axis zeroes the whole group, so the group is skipped, and the
+# expansion is regrouped by x-factor to get the same skip.  Mod-D has no such
+# skip (a character never vanishes), so its table is the flat
+# (num, fx, fy, fz) list and a decomposition is flattened back into terms.
 
 
-def _domain_tuples(setting: str, n: int, D: int | None):
-    M = 2 if setting == BINARY else D
-    return list(itertools.product(range(M), repeat=n))
+def _table(obj):
+    """The setting's table shape for a TermSum or a SliceDecomposition."""
+    if isinstance(obj, TermSum):
+        if obj.setting != BINARY:
+            return obj.terms
+        groups: dict[int, list[tuple[int, int, int]]] = {}
+        for num, fx, fy, fz in obj.terms:
+            groups.setdefault(fx, []).append((num, fy, fz))
+        return [(0, fx, residual) for fx, residual in groups.items()]
+    if obj.setting == BINARY:
+        return [(sl.axis, sl.factor, sl.residual) for sl in obj.slices]
+    flat = []
+    for sl in obj.slices:
+        a, b = _OTHER_AXES[sl.axis]
+        factors = [0, 0, 0]
+        factors[sl.axis] = sl.factor
+        for num, fa, fb in sl.residual:
+            factors[a], factors[b] = fa, fb
+            flat.append((num, *factors))
+    return flat
 
 
-def _sampled_tuples(setting: str, n: int, D: int | None, samples: int, seed: int):
-    M = 2 if setting == BINARY else D
-    rng = random.Random(seed)
-    axes = []
-    for _ in range(3):
-        axes.append([tuple(rng.randrange(M) for _ in range(n)) for _ in range(samples)])
-    return axes
+def _binary_evaluator(table, mx, my, mz):
+    """value(ix, iy, iz): the grouped table's integer sum at the point with
+    subset masks (mx[ix], my[iy], mz[iz])."""
+    pre = [(axis, factor, *_OTHER_AXES[axis], residual) for axis, factor, residual in table]
 
-
-def _binary_term_checker(terms, n, xs, ys, zs):
-    mx = [_mask(t) for t in xs]
-    my = [_mask(t) for t in ys] if ys is not xs else mx
-    mz = [_mask(t) for t in zs] if zs is not xs else mx
-
-    def check(ix, iy, iz):
-        x, y, z = mx[ix], my[iy], mz[iz]
+    def value(ix, iy, iz):
+        masks = (mx[ix], my[iy], mz[iz])
         total = 0
-        for num, fx, fy, fz in terms:
-            if fx & ~x == 0 and fy & ~y == 0 and fz & ~z == 0:
-                total += num
-        return total == _eval_binary_masks(x, y, z, n)
+        for axis, factor, a, b, residual in pre:
+            if factor & ~masks[axis]:
+                continue
+            pa, pb = masks[a], masks[b]
+            for num, fa, fb in residual:
+                if fa & ~pa == 0 and fb & ~pb == 0:
+                    total += num
+        return total
 
-    return check
+    return value
 
 
 def _mod_rows(factors, points, n, D):
@@ -427,131 +394,81 @@ def _mod_rows(factors, points, n, D):
     return rows
 
 
-def _mod_term_checker(terms, denominator, n, D, xs, ys, zs):
-    factors = {f for _, fx, fy, fz in terms for f in (fx, fy, fz)}
-    rx = _mod_rows(factors, xs, n, D)
-    ry = _mod_rows(factors, ys, n, D) if ys is not xs else rx
-    rz = _mod_rows(factors, zs, n, D) if zs is not xs else rx
-    pre = [(num, rx[fx], ry[fy], rz[fz]) for num, fx, fy, fz in terms]
+def _mod_evaluator(table, n, D, xs, ys, zs):
+    """value(ix, iy, iz): the flat table's sum at (xs[ix], ys[iy], zs[iz]) as
+    power-basis buckets, bucket k holding the numerator of zeta_D^k."""
+    factors = {f for _, fx, fy, fz in table for f in (fx, fy, fz)}
+    rx, ry, rz = (_mod_rows(factors, pts, n, D) for pts in (xs, ys, zs))
+    pre = [(num, rx[fx], ry[fy], rz[fz]) for num, fx, fy, fz in table]
 
-    def check(ix, iy, iz):
+    def value(ix, iy, iz):
         buckets = [0] * D
         for num, fxr, fyr, fzr in pre:
             buckets[(fxr[ix] + fyr[iy] + fzr[iz]) % D] += num
-        target = denominator * _eval_mod_tuples(xs[ix], ys[iy], zs[iz])
-        return CycElem.from_power_vector(D, buckets) == CycElem.from_int(D, target)
+        return buckets
 
-    return check
-
-
-def _binary_slice_checker(dec, xs, ys, zs):
-    mx = [_mask(t) for t in xs]
-    my = [_mask(t) for t in ys] if ys is not xs else mx
-    mz = [_mask(t) for t in zs] if zs is not xs else mx
-    masks = (mx, my, mz)
-    pre = [
-        (sl.axis, sl.factor, _OTHER_AXES[sl.axis], sl.residual) for sl in dec.slices
-    ]
-    n = dec.n
-
-    def check(ix, iy, iz):
-        idx = (ix, iy, iz)
-        total = 0
-        for axis, factor, (a, b), residual in pre:
-            if factor & ~masks[axis][idx[axis]]:
-                continue
-            pa, pb = masks[a][idx[a]], masks[b][idx[b]]
-            for num, fa, fb in residual:
-                if fa & ~pa == 0 and fb & ~pb == 0:
-                    total += num
-        return total == _eval_binary_masks(mx[ix], my[iy], mz[iz], n)
-
-    return check
+    return value
 
 
-def _mod_slice_checker(dec, xs, ys, zs):
-    n, D = dec.n, dec.D
-    factors = {sl.factor for sl in dec.slices}
-    for sl in dec.slices:
-        for _, fa, fb in sl.residual:
-            factors.add(fa)
-            factors.add(fb)
-    rx = _mod_rows(factors, xs, n, D)
-    ry = _mod_rows(factors, ys, n, D) if ys is not xs else rx
-    rz = _mod_rows(factors, zs, n, D) if zs is not xs else rx
-    rows = (rx, ry, rz)
-    pre = []
-    for sl in dec.slices:
-        a, b = _OTHER_AXES[sl.axis]
-        pre.append(
-            (
-                sl.axis,
-                rows[sl.axis][sl.factor],
-                a,
-                b,
-                [(num, rows[a][fa], rows[b][fb]) for num, fa, fb in sl.residual],
-            )
-        )
-    denominator = dec.denominator
-
-    def check(ix, iy, iz):
-        idx = (ix, iy, iz)
-        buckets = [0] * D
-        for axis, frow, a, b, residual in pre:
-            e0 = frow[idx[axis]]
-            ia, ib = idx[a], idx[b]
-            for num, ra, rb in residual:
-                buckets[(e0 + ra[ia] + rb[ib]) % D] += num
-        target = denominator * _eval_mod_tuples(xs[ix], ys[iy], zs[iz])
-        return CycElem.from_power_vector(D, buckets) == CycElem.from_int(D, target)
-
-    return check
+def _value_at(obj, x, y, z):
+    """A TermSum's or SliceDecomposition's exact value at one triple of
+    vectors or coordinate tuples: int (binary) or Fraction (mod-D)."""
+    if obj.setting == BINARY:
+        masks = ([v.bits if isinstance(v, SubsetVector) else _mask(v)] for v in (x, y, z))
+        return _binary_evaluator(_table(obj), *masks)(0, 0, 0)
+    points = ([v.coords if isinstance(v, DVector) else tuple(v)] for v in (x, y, z))
+    buckets = _mod_evaluator(_table(obj), obj.n, obj.D, *points)(0, 0, 0)
+    frac = CycFrac.make(CycElem.from_power_vector(obj.D, buckets), obj.denominator).as_fraction()
+    if frac is None:
+        raise ArithmeticError("separable sum evaluated to an irrational value")
+    return frac
 
 
-def _run_exhaustive(check, mx, my, mz, workers):
-    total = mx * my * mz
-
-    def scan(start, stop):
-        for flat in range(start, stop):
-            iz = flat % mz
-            rest = flat // mz
-            if not check(rest // my, rest % my, iz):
-                return flat
-        return None
-
-    if workers <= 1:
-        first = scan(0, total)
-    else:
-        chunk = -(-total // workers)
-        ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fails = [f for f in pool.map(lambda r: scan(*r), ranges) if f is not None]
-        first = min(fails) if fails else None
-    return first
+def _sampled_tuples(M: int, n: int, samples: int, seed: int):
+    rng = random.Random(seed)
+    axes = []
+    for _ in range(3):
+        axes.append([tuple(rng.randrange(M) for _ in range(n)) for _ in range(samples)])
+    return axes
 
 
-def _verify(check_factory, setting, n, D, cost, mode, samples, seed, workers, point_cap, work_cap):
+def _verify(obj, cost, mode, samples, seed, point_cap, work_cap):
+    n, D = obj.n, obj.D
+    M = 2 if obj.setting == BINARY else D
     if mode == "exhaustive":
-        pts = _domain_tuples(setting, n, D)
-        m = len(pts)
+        m = M**n
         if m**3 > point_cap or m**3 * cost > work_cap:
             raise ResourceLimitError(
                 f"exhaustive verification over {m ** 3} points is over the cap; use sampled mode"
             )
-        check = check_factory(pts, pts, pts)
-        first = _run_exhaustive(check, m, m, m, workers)
-        if first is None:
-            return True, None
-        iz = first % m
-        rest = first // m
-        return False, (pts[rest // m], pts[rest % m], pts[iz])
-    if mode != "sampled":
+        xs = ys = zs = list(itertools.product(range(M), repeat=n))
+        indices = itertools.product(range(m), repeat=3)
+    elif mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"sampled verification needs at least 1 sample, got {samples}")
+        xs, ys, zs = _sampled_tuples(M, n, samples, seed)
+        indices = ((i, i, i) for i in range(samples))
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    xs, ys, zs = _sampled_tuples(setting, n, D, samples, seed)
-    check = check_factory(xs, ys, zs)
-    for i in range(samples):
-        if not check(i, i, i):
-            return False, (xs[i], ys[i], zs[i])
+
+    if obj.setting == BINARY:
+        mx, my, mz = ([_mask(t) for t in pts] for pts in (xs, ys, zs))
+        value = _binary_evaluator(_table(obj), mx, my, mz)
+
+        def ok(ix, iy, iz):
+            return value(ix, iy, iz) == _eval_binary_masks(mx[ix], my[iy], mz[iz], n)
+
+    else:
+        value = _mod_evaluator(_table(obj), n, D, xs, ys, zs)
+        denominator = obj.denominator
+
+        def ok(ix, iy, iz):
+            target = denominator * _eval_mod_tuples(xs[ix], ys[iy], zs[iz])
+            return CycElem.from_power_vector(D, value(ix, iy, iz)) == CycElem.from_int(D, target)
+
+    for ix, iy, iz in indices:
+        if not ok(ix, iy, iz):
+            return False, (xs[ix], ys[iy], zs[iz])
     return True, None
 
 
@@ -560,22 +477,14 @@ def verify_expansion(
     mode: str = "exhaustive",
     samples: int = 200,
     seed: int = 0,
-    workers: int = 1,
     point_cap: int = DEFAULT_POINT_CAP,
     work_cap: int = DEFAULT_WORK_CAP,
 ):
     """Check that the expansion agrees with the product form pointwise.
-    Returns (ok, witness-point-or-None); comparisons are exact."""
-
-    def factory(xs, ys, zs):
-        if ts.setting == BINARY:
-            return _binary_term_checker(ts.terms, ts.n, xs, ys, zs)
-        return _mod_term_checker(ts.terms, ts.denominator, ts.n, ts.D, xs, ys, zs)
-
-    return _verify(
-        factory, ts.setting, ts.n, ts.D, len(ts.terms), mode, samples, seed, workers,
-        point_cap, work_cap,
-    )
+    Returns (ok, witness-point-or-None); comparisons are exact, and the
+    witness is the first failing point (lexicographically least in
+    exhaustive mode)."""
+    return _verify(ts, len(ts.terms), mode, samples, seed, point_cap, work_cap)
 
 
 def verify_decomposition(
@@ -583,7 +492,6 @@ def verify_decomposition(
     mode: str = "exhaustive",
     samples: int = 200,
     seed: int = 0,
-    workers: int = 1,
     point_cap: int = DEFAULT_POINT_CAP,
     work_cap: int = DEFAULT_WORK_CAP,
 ):
@@ -591,16 +499,7 @@ def verify_decomposition(
     over the whole domain or on seeded pseudorandom points.  Returns
     (ok, witness-point-or-None)."""
     cost = sum(1 + len(sl.residual) for sl in dec.slices)
-
-    def factory(xs, ys, zs):
-        if dec.setting == BINARY:
-            return _binary_slice_checker(dec, xs, ys, zs)
-        return _mod_slice_checker(dec, xs, ys, zs)
-
-    return _verify(
-        factory, dec.setting, dec.n, dec.D, cost, mode, samples, seed, workers,
-        point_cap, work_cap,
-    )
+    return _verify(dec, cost, mode, samples, seed, point_cap, work_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -775,16 +674,13 @@ def _verified_slice_count(setting: str, n: int, D: int | None) -> int:
     """Slice count of the expansion's decomposition, verified pointwise once
     per (setting, n, D): exhaustively when the domain is small, on seeded
     samples otherwise."""
-    ts = expand_tensor(setting, n, D)
-    dec = decompose(ts)
-    m = (2 if setting == BINARY else D) ** n
-    cost = sum(1 + len(sl.residual) for sl in dec.slices)
-    if m**3 <= DEFAULT_POINT_CAP and m**3 * cost <= DEFAULT_WORK_CAP:
+    dec = decompose(expand_tensor(setting, n, D))
+    try:
         ok, witness = verify_decomposition(dec, mode="exhaustive")
-    else:
+    except ResourceLimitError:
         ok, witness = verify_decomposition(dec, mode="sampled", samples=200, seed=0)
     if not ok:
-        raise AssertionError(f"decomposition failed verification at {witness}")
+        raise CertificationError(f"decomposition failed verification at {witness}", witness)
     return dec.slice_count
 
 
@@ -826,7 +722,11 @@ def certify_family(family: Family) -> BoundCertificate:
                 "not-certified",
             )
         slice_count = _verified_slice_count(MOD, family.n, family.D)
-    assert len(family) <= slice_count <= closed_form
+    if not len(family) <= slice_count <= closed_form:
+        raise CertificationError(
+            f"expected |A| = {len(family)} <= slice count {slice_count}"
+            f" <= closed form {closed_form}"
+        )
     return BoundCertificate(
         family.setting,
         family.n,

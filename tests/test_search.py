@@ -89,15 +89,6 @@ def test_symmetry_on_off_agree():
         assert on.witness.members == off.witness.members
 
 
-def test_worker_count_does_not_change_result():
-    for workers in (2, 3, 5):
-        base = max_free_family(SearchConfig(BINARY, 3))
-        par = max_free_family(SearchConfig(BINARY, 3, workers=workers))
-        assert par.max_size == base.max_size
-        assert par.witness.members == base.witness.members
-        assert par.optimal
-
-
 def test_budget_exhaustion_flags_incomplete():
     result = max_free_family(SearchConfig(BINARY, 4, node_budget=5, symmetry=False))
     assert not result.optimal

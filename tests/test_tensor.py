@@ -3,14 +3,17 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slicerank import tensor
 from slicerank.bounds import constant_weight_bound, mod_count_bound, subset_family_bound
 from slicerank.setsys import BINARY, MOD, DVector, Family, SubsetVector
 from slicerank.tensor import (
     BoundCertificate,
+    CertificationError,
     NotSunflowerFree,
     ResourceLimitError,
     Slice,
     SliceDecomposition,
+    TermSum,
     certify_family,
     check_diagonal,
     count_slices,
@@ -232,10 +235,21 @@ def test_corrupted_decomposition_is_caught():
     assert not ok and witness is not None
 
 
-def test_verify_workers_and_sampling_agree():
+def test_verify_exhaustive_and_sampled_agree():
     dec = decompose(expand_tensor(MOD, 2, 3))
-    assert verify_decomposition(dec, workers=1) == verify_decomposition(dec, workers=3)
+    assert verify_decomposition(dec) == (True, None)
     assert verify_decomposition(dec, mode="sampled", samples=64, seed=7) == (True, None)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_rejects_sample_count_below_one(samples):
+    # a corrupted expansion must not pass by checking no point at all
+    ts = expand_tensor(BINARY, 2)
+    broken = TermSum(ts.setting, ts.n, ts.D, ts.denominator, ((7, 0, 0, 0),) + ts.terms)
+    with pytest.raises(ValueError):
+        verify_expansion(broken, mode="sampled", samples=samples)
+    with pytest.raises(ValueError):
+        verify_decomposition(decompose(broken), mode="sampled", samples=samples)
 
 
 def test_sampled_mode_catches_global_corruption():
@@ -252,18 +266,42 @@ def test_sampled_mode_catches_global_corruption():
     assert not ok and witness is not None and len(witness) == 3
 
 
+def _first_mismatch(obj):
+    # brute-force oracle: the first (x, y, z) in itertools.product order
+    # where the object's value differs from the product form
+    M = 2 if obj.setting == BINARY else obj.D
+    pts = list(itertools.product(range(M), repeat=obj.n))
+    vec = sv if obj.setting == BINARY else (lambda *c: dv(obj.D, *c))
+    for x, y, z in itertools.product(pts, repeat=3):
+        if obj.value_at(x, y, z) != tensor_value(vec(*x), vec(*y), vec(*z)):
+            return x, y, z
+    return None
+
+
 def test_verify_witness_is_lex_least():
-    # corrupt a slice, then check sequential and 4-worker scans return the
-    # same (first) failure point
-    dec = decompose(expand_tensor(BINARY, 2))
-    sl = dec.slices[-1]
-    broken = SliceDecomposition(
-        dec.setting, dec.n, dec.D, dec.denominator,
-        dec.slices[:-1] + (Slice(sl.axis, sl.factor, ((5, 0, 0),) + sl.residual),),
-    )
-    seq = verify_decomposition(broken)
-    par = verify_decomposition(broken, workers=4)
-    assert seq == par and not seq[0]
+    # each corruption is wrong on a set that is not a product of x-, y- and
+    # z-sets, so scanning the coordinates in another priority would report
+    # another point
+    corruptions = [
+        # 5 x_2 + 7 z_1: wrong where x_2 = 1 or z_1 = 1
+        (BINARY, 2, None, [(5, 0b10, 0, 0), (7, 0, 0, 0b01)]),
+        # [x_2 != 0] + 2 [z_1 != 0], from 2 - zeta^a - zeta^2a = 3 [a != 0]
+        (MOD, 2, 3, [(6, 0, 0, 0), (-3, 3, 0, 0), (-3, 6, 0, 0),
+                     (12, 0, 0, 0), (-6, 0, 0, 1), (-6, 0, 0, 2)]),
+    ]
+    for setting, n, D, extra in corruptions:
+        ts = expand_tensor(setting, n, D)
+        dec = decompose(ts)
+        broken_terms = TermSum(setting, n, D, ts.denominator, ts.terms + tuple(extra))
+        broken_slices = SliceDecomposition(
+            setting, n, D, dec.denominator,
+            dec.slices + tuple(Slice(0, fx, ((num, fy, fz),)) for num, fx, fy, fz in extra),
+        )
+        for verify, broken in ((verify_expansion, broken_terms),
+                               (verify_decomposition, broken_slices)):
+            witness = _first_mismatch(broken)
+            assert witness == ((0,) * n, (0,) * n, (1,) + (0,) * (n - 1))
+            assert verify(broken) == (False, witness)
 
 
 def test_verify_exhaustive_resource_guard():
@@ -426,6 +464,18 @@ def test_certify_binary_two_layers():
 def test_certify_empty_family():
     cert = certify_family(Family(BINARY, 3, None, ()))
     assert cert.slice_count == 0 and cert.diagonal_ok
+
+
+def test_certify_rejects_slice_count_below_family_size(monkeypatch):
+    monkeypatch.setattr(tensor, "_verified_slice_count", lambda setting, n, D: 0)
+    with pytest.raises(CertificationError):
+        certify_family(Family.of([sv(1, 0)]))
+
+
+def test_failed_slice_verification_is_a_certification_error(monkeypatch):
+    monkeypatch.setattr(tensor, "verify_decomposition", lambda dec, **kw: (False, "w"))
+    with pytest.raises(CertificationError):
+        tensor._verified_slice_count.__wrapped__(BINARY, 1, None)
 
 
 def test_certificate_json_round_trip():
