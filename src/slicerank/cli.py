@@ -253,13 +253,7 @@ def main(argv=None) -> int:
     except FamilyFormatError as exc:
         print(f"error: malformed family file: {exc}", file=sys.stderr)
         return 2
-    except tensor_mod.ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (tensor_mod.ResourceLimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

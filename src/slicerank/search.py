@@ -1,30 +1,39 @@
 """Exact extremal search at small instance sizes.
 
-Branch-and-bound over candidate vectors in lexicographic order: a partial
-family is extended by candidates above its largest member, each insertion
-is checked against all pairs already present, and a branch is cut when even
-taking every remaining candidate cannot reach the best size found.  Ties
-with the current best are still explored so that the reported witness is
-the lexicographically least maximum family.
+Branch-and-bound over the candidate vectors in lexicographic order.  A
+partial family is an increasing tuple of candidate indices; it is extended
+by candidates above its largest member, each insertion is checked against
+all pairs already present, and a branch is cut when even taking every
+remaining candidate cannot reach the best size found.  The search visits
+partials in depth-first preorder, which is lexicographic order on the index
+tuples, so the first family found at each size is the lexicographically
+least one and the reported witness is the least maximum family.
 
 Symmetry reduction keeps only partial families that are lexicographically
-least in their orbit under coordinate permutations (and per-coordinate
-alphabet permutations in the mod-D and capset settings, which preserve the
-respective predicates).  Every prefix of a lex-least family is lex-least in
-its own orbit, so pruning non-canonical prefixes never loses the optimum.
+least in their orbit under coordinate permutations (composed with
+per-coordinate alphabet permutations in the mod-D and capset settings,
+which preserve the respective predicates).  Each symmetry is stored once,
+as the permutation it induces on candidate indices; since candidate order
+is lexicographic order, comparing sorted index images is comparing sorted
+member images.  Every prefix of a lex-least family is lex-least in its own
+orbit, so pruning non-canonical prefixes never loses the optimum.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
+from array import array
 from dataclasses import dataclass
 from random import Random
 
 from . import bounds
 from .setsys import BINARY, MOD, DVector, Family, SubsetVector
+from .tensor import ResourceLimitError
 
 CAPSET = "capset"
+_MAX_SYMMETRY_TABLE = 2**26  # entries of two bytes each: 128 MiB
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.setting not in (BINARY, MOD, CAPSET):
             raise ValueError(f"unknown setting {self.setting!r}")
+        if self.n < 0:
+            raise ValueError("n must be nonnegative")
         if self.setting == CAPSET and self.D not in (None, 3):
             raise ValueError("capset search is over F_3")
         if self.setting == MOD and (self.D is None or self.D < 3):
@@ -86,33 +97,51 @@ def _bad_triple(cfg_setting: str, x, y, z) -> bool:
     return True
 
 
-def _symmetry_group(cfg: SearchConfig):
-    """All symmetries preserving the predicate: coordinate permutations,
-    composed with per-coordinate alphabet permutations outside the binary
-    setting (for capsets every permutation of F_3 is affine, so all are
-    progression-safe)."""
-    coord_perms = list(itertools.permutations(range(cfg.n)))
+def _can_join(setting: str, members, c) -> bool:
+    """Can c join the free family `members` without a forbidden triple?"""
+    for a, b in itertools.combinations(members, 2):
+        if _bad_triple(setting, a, b, c):
+            return False
+    return True
+
+
+def _symmetry_group(cfg: SearchConfig, cands) -> list[array]:
+    """All symmetries preserving the predicate, each as the permutation of
+    candidate indices it induces: coordinate permutations, composed with
+    per-coordinate alphabet permutations outside the binary setting (for
+    capsets every permutation of F_3 is affine, so all are
+    progression-safe).  The table holds |G| * len(cands) entries."""
+    q, n = cfg.alphabet, cfg.n
     if cfg.setting == BINARY:
-        return [(p, None) for p in coord_perms]
-    value_perms = list(itertools.permutations(range(cfg.alphabet)))
+        value_perms = [tuple(range(q))]
+    else:
+        value_perms = list(itertools.permutations(range(q)))
+    entries = math.factorial(n) * len(value_perms) ** n * len(cands)
+    if entries > _MAX_SYMMETRY_TABLE:
+        raise ResourceLimitError(
+            f"the symmetry table would hold {entries} entries, over {_MAX_SYMMETRY_TABLE};"
+            " search without symmetry"
+        )
+    weights = [q ** (n - 1 - i) for i in range(n)]
     group = []
-    for p in coord_perms:
-        for vmaps in itertools.product(value_perms, repeat=cfg.n):
-            group.append((p, vmaps))
+    for p in itertools.permutations(range(n)):
+        for vmaps in itertools.product(value_perms, repeat=n):
+            # the image of c has coordinate i equal to vmaps[i][c[p[i]]], so
+            # source coordinate p[i] adds vmaps[i][v] * weights[i] to its index
+            cols = [None] * n
+            for i in range(n):
+                cols[p[i]] = [vmaps[i][v] * weights[i] for v in range(q)]
+            images = [0]
+            for col in cols:  # in candidate (lex) order
+                images = [x + c for x in images for c in col]
+            group.append(array("H", images))
     return group
 
 
-def _apply(sym, member):
-    p, vmaps = sym
-    if vmaps is None:
-        return tuple(member[p[i]] for i in range(len(member)))
-    return tuple(vmaps[i][member[p[i]]] for i in range(len(member)))
-
-
 def _is_canonical(partial: tuple, group) -> bool:
-    for sym in group:
-        image = tuple(sorted(_apply(sym, m) for m in partial))
-        if image < partial:
+    key = list(partial)
+    for perm in group:
+        if sorted(map(perm.__getitem__, partial)) < key:
             return False
     return True
 
@@ -122,13 +151,12 @@ class _Budget(Exception):
 
 
 class _Search:
-    def __init__(self, cfg: SearchConfig, group):
+    def __init__(self, cfg: SearchConfig, cands, group):
         self.cfg = cfg
+        self.cands = cands
         self.group = group
-        self.cands = _candidates(cfg)
         self.nodes = 0
-        self.best_size = 0
-        self.best: tuple | None = None
+        self.best: tuple = ()
         self.deadline = None
         if cfg.time_budget is not None:
             self.deadline = time.monotonic() + cfg.time_budget
@@ -139,28 +167,20 @@ class _Search:
             raise _Budget
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Budget
-        size = len(partial)
-        if size > self.best_size or (
-            size == self.best_size and (self.best is None or partial < self.best)
-        ):
-            self.best_size = size
+        # preorder is lex order, so the first family of a size is the least
+        if len(partial) > len(self.best):
             self.best = partial
 
     def run(self, partial: tuple, start: int) -> None:
-        cands = self.cands
+        cands, setting = self.cands, self.cfg.setting
         total = len(cands)
+        members = [cands[j] for j in partial]
         for i in range(start, total):
-            if len(partial) + (total - i) < self.best_size:
-                break  # ties are kept so the lex-least witness survives
-            c = cands[i]
-            ok = True
-            for a, b in itertools.combinations(partial, 2):
-                if _bad_triple(self.cfg.setting, a, b, c):
-                    ok = False
-                    break
-            if not ok:
+            if len(partial) + (total - i) < len(self.best):
+                break  # strict: ties are explored only because `nodes` is output
+            if not _can_join(setting, members, cands[i]):
                 continue
-            extended = partial + (c,)
+            extended = partial + (i,)
             if self.group is not None and not _is_canonical(extended, self.group):
                 continue
             self._visit(extended)
@@ -180,15 +200,16 @@ def max_free_family(cfg: SearchConfig) -> SearchResult:
     exhaustive branch-and-bound; the witness is the lexicographically least
     maximum family.  If a budget runs out the best family found so far is
     returned with the optimality flag off."""
-    group = _symmetry_group(cfg) if cfg.symmetry else None
-    search = _Search(cfg, group)
+    cands = _candidates(cfg)
+    group = _symmetry_group(cfg, cands) if cfg.symmetry else None
+    search = _Search(cfg, cands, group)
     complete = True
     try:
         search._visit(())
         search.run((), 0)
     except _Budget:
         complete = False
-    best = search.best or ()
+    best = [cands[i] for i in search.best]
     return SearchResult(len(best), complete, _to_family(cfg, best), search.nodes)
 
 
@@ -221,9 +242,7 @@ def greedy_witness(cfg: SearchConfig, seed: int) -> Family:
     Random(seed).shuffle(cands)
     members: list = []
     for c in cands:
-        if not any(
-            _bad_triple(cfg.setting, a, b, c) for a, b in itertools.combinations(members, 2)
-        ):
+        if _can_join(cfg.setting, members, c):
             members.append(c)
     return _to_family(cfg, members)
 

@@ -522,26 +522,18 @@ def check_diagonal(family: Family) -> DiagonalityReport:
     members = family.members
     if family.setting == BINARY:
         codes = [m.bits for m in members]
-
-        def ev(i, j, k):
-            return _eval_binary_masks(codes[i], codes[j], codes[k], family.n)
-
+        n = family.n
+        ev = lambda x, y, z: _eval_binary_masks(x, y, z, n)
     else:
         if family.D < 3:
             raise ValueError("the mod-D tensor needs D >= 3")
         codes = [m.coords for m in members]
-
-        def ev(i, j, k):
-            return _eval_mod_tuples(codes[i], codes[j], codes[k])
-
-    diag = tuple(ev(i, i, i) for i in range(len(members)))
-    witness = None
-    for i in range(len(members)):
-        for j in range(len(members)):
-            for k in range(len(members)):
-                value = ev(i, j, k)
-                on_diag = i == j == k
-                if (value != 0) != on_diag:
+        ev = _eval_mod_tuples
+    diag = tuple(ev(c, c, c) for c in codes)
+    for i, x in enumerate(codes):
+        for j, y in enumerate(codes):
+            for k, z in enumerate(codes):
+                if (ev(x, y, z) != 0) != (i == j == k):
                     witness = (members[i], members[j], members[k])
                     return DiagonalityReport(False, witness, diag)
     return DiagonalityReport(True, None, diag)
@@ -702,26 +694,18 @@ def certify_family(family: Family) -> BoundCertificate:
         )
     if family.setting == BINARY:
         closed_form = subset_family_bound(family.n)
-        per_layer = _verified_slice_count(BINARY, family.n, None)
-        layers = layer_split(family)
-        for layer in layers.values():
-            report = check_diagonal(layer)
-            if not report.ok:
-                return BoundCertificate(
-                    BINARY, family.n, None, family, False, report.witness,
-                    per_layer * len(layers), closed_form, "not-certified",
-                )
-        slice_count = per_layer * len(layers)
+        layers = list(layer_split(family).values())
     else:
         closed_form = mod_count_bound(family.n, family.D)
-        report = check_diagonal(family)
+        layers = [family]
+    slice_count = _verified_slice_count(family.setting, family.n, family.D) * len(layers)
+    for layer in layers:
+        report = check_diagonal(layer)
         if not report.ok:
             return BoundCertificate(
-                MOD, family.n, family.D, family, False, report.witness,
-                _verified_slice_count(MOD, family.n, family.D), closed_form,
-                "not-certified",
+                family.setting, family.n, family.D, family, False, report.witness,
+                slice_count, closed_form, "not-certified",
             )
-        slice_count = _verified_slice_count(MOD, family.n, family.D)
     if not len(family) <= slice_count <= closed_form:
         raise CertificationError(
             f"expected |A| = {len(family)} <= slice count {slice_count}"

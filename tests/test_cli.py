@@ -56,6 +56,11 @@ def test_detect_missing_file(capsys):
     assert code == 2 and "error" in err
 
 
+def test_detect_directory_is_an_error(capsys, tmp_path):
+    code, _, err = run(capsys, "detect", str(tmp_path))
+    assert code == 2 and err.startswith("error:")
+
+
 # --- certify ----------------------------------------------------------------
 
 
@@ -67,6 +72,12 @@ def test_certify_mod_family(family_file, capsys, tmp_path):
     assert "conclusion: |A| <= 3" in out
     cert = BoundCertificate.from_json((tmp_path / "cert.json").read_text())
     assert cert.diagonal_ok and cert.slice_count == 3
+
+
+def test_certify_json_to_directory_is_an_error(family_file, capsys, tmp_path):
+    path = family_file("mod.txt", "0\n1\n")
+    code, _, err = run(capsys, "certify", path, "--D", "3", "--json", str(tmp_path))
+    assert code == 2 and err.startswith("error:")
 
 
 def test_certify_rejects_sunflower(family_file, capsys):

@@ -8,6 +8,9 @@ from slicerank.search import (
     CAPSET,
     SearchConfig,
     SearchResult,
+    _candidates,
+    _is_canonical,
+    _symmetry_group,
     brute_force_max,
     greedy_witness,
     max_free_family,
@@ -22,6 +25,7 @@ from slicerank.setsys import (
     is_capset,
     is_sunflower_free,
 )
+from slicerank.tensor import ResourceLimitError
 
 
 def test_config_validation():
@@ -33,6 +37,8 @@ def test_config_validation():
         SearchConfig(CAPSET, 2, D=4)
     with pytest.raises(ValueError):
         SearchConfig(BINARY, 2, node_budget=0)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        SearchConfig(BINARY, -1)
 
 
 # --- maxima against the exhaustive oracle ----------------------------------------
@@ -99,6 +105,103 @@ def test_budget_exhaustion_flags_incomplete():
 def test_time_budget_exhaustion():
     result = max_free_family(SearchConfig(BINARY, 4, time_budget=0.0))
     assert not result.optimal
+
+
+# --- the search contract: counts, witnesses and canonicity -----------------------
+
+
+@pytest.mark.parametrize(
+    "cfg,max_size,optimal,nodes,witness",
+    [
+        (SearchConfig(BINARY, 1), 2, True, 3, "0 1"),
+        (SearchConfig(BINARY, 2), 3, True, 7, "00 01 11"),
+        (SearchConfig(BINARY, 3), 5, True, 17, "000 011 101 110 111"),
+        (SearchConfig(BINARY, 4), 8, True, 64, "0000 0011 0101 0110 1011 1101 1110 1111"),
+        (
+            SearchConfig(BINARY, 5), 12, True, 1038,
+            "00000 00011 01101 01110 01111 10101 10110 10111 11001 11010 11011 11111",
+        ),
+        (SearchConfig(BINARY, 2, symmetry=False), 3, True, 9, "00 01 11"),
+        (SearchConfig(BINARY, 3, symmetry=False), 5, True, 41, "000 011 101 110 111"),
+        (
+            SearchConfig(BINARY, 4, symmetry=False), 8, True, 586,
+            "0000 0011 0101 0110 1011 1101 1110 1111",
+        ),
+        (SearchConfig(MOD, 2, D=3), 4, True, 9, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(MOD, 2, D=4), 4, True, 10, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(CAPSET, 2), 4, True, 9, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(CAPSET, 2, symmetry=False), 4, True, 130, "0,0 0,1 1,0 1,1"),
+        (
+            SearchConfig(BINARY, 6, node_budget=300), 13, False, 301,
+            "000000 000001 000111 011011 011101 011111 101011 101101 101111"
+            " 110011 110101 110111 111111",
+        ),
+    ],
+)
+def test_search_results_are_pinned(cfg, max_size, optimal, nodes, witness):
+    # node counts are printed by the CLI, so they are part of the contract
+    result = max_free_family(cfg)
+    assert (result.max_size, result.optimal, result.nodes) == (max_size, optimal, nodes)
+    assert " ".join(m.to_line() for m in result.witness) == witness
+
+
+def _reference_group(cfg):
+    """Symmetries as (coordinate permutation, alphabet maps) pairs, with no
+    alphabet maps in the binary setting."""
+    coord_perms = list(itertools.permutations(range(cfg.n)))
+    if cfg.setting == BINARY:
+        return [(p, None) for p in coord_perms]
+    value_perms = list(itertools.permutations(range(cfg.alphabet)))
+    return [
+        (p, vmaps)
+        for p in coord_perms
+        for vmaps in itertools.product(value_perms, repeat=cfg.n)
+    ]
+
+
+def _reference_apply(sym, member):
+    p, vmaps = sym
+    if vmaps is None:
+        return tuple(member[p[i]] for i in range(len(member)))
+    return tuple(vmaps[i][member[p[i]]] for i in range(len(member)))
+
+
+def _reference_is_canonical(members: tuple, group) -> bool:
+    return all(tuple(sorted(_reference_apply(s, m) for m in members)) >= members for s in group)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SearchConfig(BINARY, 3),
+        SearchConfig(BINARY, 4),
+        SearchConfig(MOD, 2, D=3),
+        SearchConfig(CAPSET, 2),
+    ],
+)
+def test_canonicity_matches_member_orbits(cfg):
+    """Index permutations accept exactly the partials that are lex-least in
+    their orbit of member tuples."""
+    cands = _candidates(cfg)
+    group = _symmetry_group(cfg, cands)
+    reference = _reference_group(cfg)
+    assert len(group) == len(reference)
+    verdicts = []
+    for size in range(4):
+        for partial in itertools.combinations(range(len(cands)), size):
+            members = tuple(cands[i] for i in partial)
+            verdict = _is_canonical(partial, group)
+            assert verdict == _reference_is_canonical(members, reference), partial
+            verdicts.append(verdict)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_symmetry_table_is_capped():
+    # binary n=9 would need 9! * 512 (about 186 M) table entries
+    with pytest.raises(ResourceLimitError, match="symmetry table"):
+        max_free_family(SearchConfig(BINARY, 9))
+    result = max_free_family(SearchConfig(BINARY, 9, node_budget=3, symmetry=False))
+    assert result.nodes == 4 and not result.optimal
 
 
 # --- greedy -----------------------------------------------------------------------
