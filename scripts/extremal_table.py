@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Tabulate brute-force maxima of free families against the closed-form
-bounds.
+"""Tabulate branch-and-bound maxima of free families against the
+closed-form bounds.
 
 Example:
     python scripts/extremal_table.py --binary-max 4 --mod 3:2 --capset-max 2

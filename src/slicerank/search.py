@@ -1,13 +1,19 @@
 """Exact extremal search at small instance sizes.
 
 Branch-and-bound over the candidate vectors in lexicographic order.  A
-partial family is an increasing tuple of candidate indices; it is extended
-by candidates above its largest member, each insertion is checked against
-all pairs already present, and a branch is cut when even taking every
-remaining candidate cannot reach the best size found.  The search visits
-partials in depth-first preorder, which is lexicographic order on the index
-tuples, so the first family found at each size is the lexicographically
-least one and the reported witness is the least maximum family.
+partial family is an increasing tuple of candidate indices, and the search
+visits partials in depth-first preorder, which is lexicographic order on the
+index tuples: the first family found at each size is the lexicographically
+least one, so the reported witness is the least maximum family.  A branch is
+cut when even taking every remaining candidate cannot reach the best size
+found.
+
+Sets of candidates are Python ints used as bitmasks.  Each node carries its
+alive mask: the candidates above its largest member that can still join it.
+Admitting a candidate is one bit test.  Adding candidate b removes from the
+child's mask, for each member a, the kill mask of the pair: the candidates
+c > b for which (a, b, c) is a forbidden triple.  Kill masks are computed
+on first use and cached, at most C(N, 2) of them for N candidates.
 
 Symmetry reduction keeps only partial families that are lexicographically
 least in their orbit under coordinate permutations (composed with
@@ -15,8 +21,12 @@ per-coordinate alphabet permutations in the mod-D and capset settings,
 which preserve the respective predicates).  Each symmetry is stored once,
 as the permutation it induces on candidate indices; since candidate order
 is lexicographic order, comparing sorted index images is comparing sorted
-member images.  Every prefix of a lex-least family is lex-least in its own
-orbit, so pruning non-canonical prefixes never loses the optimum.
+member images.  The search keeps, for every symmetry, the mask of the
+current partial's image.  Of two index sets of equal size, the one holding
+the lowest bit of their symmetric difference has the lex-smaller sorted
+tuple, so an extension is rejected when some image holds that bit.  Every
+prefix of a lex-least family is lex-least in its own orbit, so pruning
+non-canonical prefixes never loses the optimum.
 """
 
 from __future__ import annotations
@@ -50,6 +60,8 @@ class SearchConfig:
             raise ValueError(f"unknown setting {self.setting!r}")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
+        if self.setting == BINARY and self.D is not None:
+            raise ValueError("the binary setting takes no D")
         if self.setting == CAPSET and self.D not in (None, 3):
             raise ValueError("capset search is over F_3")
         if self.setting == MOD and (self.D is None or self.D < 3):
@@ -123,14 +135,15 @@ def _symmetry_group(cfg: SearchConfig, cands) -> list[array]:
             " search without symmetry"
         )
     weights = [q ** (n - 1 - i) for i in range(n)]
+    # the image of c has coordinate i equal to vmaps[i][c[p[i]]], so source
+    # coordinate p[i] adds vmaps[i][v] * weights[i] to its index
+    columns = [[[vp[v] * w for v in range(q)] for vp in value_perms] for w in weights]
     group = []
     for p in itertools.permutations(range(n)):
-        for vmaps in itertools.product(value_perms, repeat=n):
-            # the image of c has coordinate i equal to vmaps[i][c[p[i]]], so
-            # source coordinate p[i] adds vmaps[i][v] * weights[i] to its index
+        for chosen in itertools.product(*columns):
             cols = [None] * n
             for i in range(n):
-                cols[p[i]] = [vmaps[i][v] * weights[i] for v in range(q)]
+                cols[p[i]] = chosen[i]
             images = [0]
             for col in cols:  # in candidate (lex) order
                 images = [x + c for x in images for c in col]
@@ -138,10 +151,14 @@ def _symmetry_group(cfg: SearchConfig, cands) -> list[array]:
     return group
 
 
-def _is_canonical(partial: tuple, group) -> bool:
-    key = list(partial)
-    for perm in group:
-        if sorted(map(perm.__getitem__, partial)) < key:
+def _extends_canonically(images: list, group, q: int, i: int) -> bool:
+    """Is the partial with mask q, extended by candidate i, lex-least in its
+    orbit?  images[g] is the mask of group[g] applied to the partial."""
+    q |= 1 << i
+    for x, perm in zip(images, group):
+        x |= 1 << perm[i]
+        d = x ^ q
+        if x & d & -d:  # the lowest differing candidate is in the image
             return False
     return True
 
@@ -155,6 +172,8 @@ class _Search:
         self.cfg = cfg
         self.cands = cands
         self.group = group
+        self.images = [0] * len(group) if group is not None else None
+        self.kills: dict[int, int] = {}
         self.nodes = 0
         self.best: tuple = ()
         self.deadline = None
@@ -171,20 +190,53 @@ class _Search:
         if len(partial) > len(self.best):
             self.best = partial
 
-    def run(self, partial: tuple, start: int) -> None:
-        cands, setting = self.cands, self.cfg.setting
-        total = len(cands)
-        members = [cands[j] for j in partial]
-        for i in range(start, total):
+    def _kill(self, a: int, b: int) -> int:
+        """Mask of the candidates c > b that form a forbidden triple with a, b."""
+        total = len(self.cands)
+        key = a * total + b
+        mask = self.kills.get(key)
+        if mask is None:
+            cands, setting = self.cands, self.cfg.setting
+            x, y = cands[a], cands[b]
+            mask = 0
+            for c in range(b + 1, total):
+                if _bad_triple(setting, x, y, cands[c]):
+                    mask |= 1 << c
+            self.kills[key] = mask
+        return mask
+
+    def _toggle(self, i: int) -> None:
+        # perm is a bijection and i is never in the partial, so XOR adds i's
+        # image on descent and removes it again on return
+        images = self.images
+        for g, perm in enumerate(self.group):
+            images[g] ^= 1 << perm[i]
+
+    def run(self, partial: tuple, q: int, alive: int) -> None:
+        """Extend `partial` (mask q) by each candidate of `alive`, the
+        candidates above its last member that can join it, in increasing
+        order.  The cut only tightens as i grows, so testing it at alive
+        candidates alone stops where a scan of every index would."""
+        total, group = len(self.cands), self.group
+        rest = alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
             if len(partial) + (total - i) < len(self.best):
                 break  # strict: ties are explored only because `nodes` is output
-            if not _can_join(setting, members, cands[i]):
+            if group is not None and not _extends_canonically(self.images, group, q, i):
                 continue
+            dead = 0
+            for a in partial:
+                dead |= self._kill(a, i)
             extended = partial + (i,)
-            if self.group is not None and not _is_canonical(extended, self.group):
-                continue
             self._visit(extended)
-            self.run(extended, i + 1)
+            if group is not None:
+                self._toggle(i)
+            self.run(extended, q | low, rest & ~dead)
+            if group is not None:
+                self._toggle(i)
 
 
 def _to_family(cfg: SearchConfig, members) -> Family:
@@ -206,7 +258,7 @@ def max_free_family(cfg: SearchConfig) -> SearchResult:
     complete = True
     try:
         search._visit(())
-        search.run((), 0)
+        search.run((), 0, (1 << len(cands)) - 1)
     except _Budget:
         complete = False
     best = [cands[i] for i in search.best]

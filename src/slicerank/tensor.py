@@ -158,6 +158,8 @@ def expand_tensor(
     if n < 0:
         raise ValueError("n must be nonnegative")
     if setting == BINARY:
+        if D is not None:
+            raise ValueError("the binary setting takes no D")
         if 4**n > max_terms:
             raise ResourceLimitError(f"binary expansion at n={n} exceeds {max_terms} terms")
         terms = [(1, 0, 0, 0)]

@@ -144,6 +144,19 @@ def test_verify_tensor_resource_error(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--setting", "binary", "--n", "3", "--D", "7"],
+        ["verify-tensor", "--setting", "binary", "--n", "2", "--D", "9"],
+    ],
+)
+def test_binary_setting_rejects_d(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "takes no D" in err
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_tensor_rejects_sample_count_below_one(capsys, samples):
     code, out, err = run(

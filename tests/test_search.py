@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,14 @@ from slicerank.search import (
     CAPSET,
     SearchConfig,
     SearchResult,
+    _bad_triple,
+    _Budget,
+    _can_join,
     _candidates,
-    _is_canonical,
+    _extends_canonically,
+    _Search,
     _symmetry_group,
+    _to_family,
     brute_force_max,
     greedy_witness,
     max_free_family,
@@ -39,6 +46,10 @@ def test_config_validation():
         SearchConfig(BINARY, 2, node_budget=0)
     with pytest.raises(ValueError, match="n must be nonnegative"):
         SearchConfig(BINARY, -1)
+    with pytest.raises(ValueError, match="binary setting takes no D"):
+        SearchConfig(BINARY, 3, D=7)
+    with pytest.raises(ValueError, match="binary setting takes no D"):
+        SearchConfig(BINARY, 3, D=2)
 
 
 # --- maxima against the exhaustive oracle ----------------------------------------
@@ -136,6 +147,20 @@ def test_time_budget_exhaustion():
             "000000 000001 000111 011011 011101 011111 101011 101101 101111"
             " 110011 110101 110111 111111",
         ),
+        (
+            SearchConfig(BINARY, 5, symmetry=False), 12, True, 87255,
+            "00000 00011 01101 01110 01111 10101 10110 10111 11001 11010 11011 11111",
+        ),
+        (
+            SearchConfig(CAPSET, 3, symmetry=False), 9, True, 193386,
+            "0,0,0 0,0,1 0,1,0 0,1,1 1,0,0 1,0,1 1,1,2 1,2,2 2,1,2",
+        ),
+        (
+            SearchConfig(BINARY, 6, node_budget=5000, symmetry=False), 13, False, 5001,
+            "000000 000001 000111 011011 011101 011111 101011 101101 101111"
+            " 110011 110101 110111 111111",
+        ),
+        (SearchConfig(MOD, 2, D=5, symmetry=False), 4, True, 4484, "0,0 0,1 1,0 1,1"),
     ],
 )
 def test_search_results_are_pinned(cfg, max_size, optimal, nodes, witness):
@@ -180,8 +205,8 @@ def _reference_is_canonical(members: tuple, group) -> bool:
     ],
 )
 def test_canonicity_matches_member_orbits(cfg):
-    """Index permutations accept exactly the partials that are lex-least in
-    their orbit of member tuples."""
+    """The image-mask test accepts exactly the partials that are lex-least
+    in their orbit of member tuples."""
     cands = _candidates(cfg)
     group = _symmetry_group(cfg, cands)
     reference = _reference_group(cfg)
@@ -190,10 +215,105 @@ def test_canonicity_matches_member_orbits(cfg):
     for size in range(4):
         for partial in itertools.combinations(range(len(cands)), size):
             members = tuple(cands[i] for i in partial)
-            verdict = _is_canonical(partial, group)
+            if partial:
+                *prefix, i = partial
+                images = [sum(1 << perm[j] for j in prefix) for perm in group]
+                q = sum(1 << j for j in prefix)
+                verdict = _extends_canonically(images, group, q, i)
+            else:
+                verdict = True  # the root is never tested
             assert verdict == _reference_is_canonical(members, reference), partial
             verdicts.append(verdict)
     assert any(verdicts) and not all(verdicts)
+
+
+class _ReferenceSearch:
+    """The search loop before bitsets: a `_can_join` pair scan per
+    candidate and sorted index images for canonicity."""
+
+    def __init__(self, cfg, cands, group):
+        self.cfg, self.cands, self.group = cfg, cands, group
+        self.nodes = 0
+        self.best = ()
+        self.deadline = None
+        if cfg.time_budget is not None:
+            self.deadline = time.monotonic() + cfg.time_budget
+
+    def visit(self, partial):
+        self.nodes += 1
+        if self.nodes > self.cfg.node_budget:
+            raise _Budget
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Budget
+        if len(partial) > len(self.best):
+            self.best = partial
+
+    def canonical(self, partial):
+        key = list(partial)
+        return all(sorted(perm[i] for i in partial) >= key for perm in self.group)
+
+    def run(self, partial, start):
+        cands, total = self.cands, len(self.cands)
+        members = [cands[j] for j in partial]
+        for i in range(start, total):
+            if len(partial) + (total - i) < len(self.best):
+                break
+            if not _can_join(self.cfg.setting, members, cands[i]):
+                continue
+            extended = partial + (i,)
+            if self.group is not None and not self.canonical(extended):
+                continue
+            self.visit(extended)
+            self.run(extended, i + 1)
+
+
+def _reference_search(cfg):
+    cands = _candidates(cfg)
+    group = _symmetry_group(cfg, cands) if cfg.symmetry else None
+    ref = _ReferenceSearch(cfg, cands, group)
+    complete = True
+    try:
+        ref.visit(())
+        ref.run((), 0)
+    except _Budget:
+        complete = False
+    return len(ref.best), complete, ref.nodes, _to_family(cfg, [cands[i] for i in ref.best])
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SearchConfig(BINARY, n, symmetry=sym) for n in range(6) for sym in (True, False)]
+    + [SearchConfig(CAPSET, n) for n in (2, 3)]
+    + [SearchConfig(MOD, 2, D=D) for D in (3, 4, 5)]
+    + [SearchConfig(BINARY, 6, node_budget=b) for b in (1, 5, 37, 300)]
+    + [SearchConfig(BINARY, 4, time_budget=0.0)],
+    ids=str,
+)
+def test_bitset_search_matches_reference_loop(cfg):
+    result = max_free_family(cfg)
+    got = (result.max_size, result.optimal, result.nodes, result.witness)
+    assert got == _reference_search(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SearchConfig(BINARY, 3), SearchConfig(CAPSET, 2), SearchConfig(MOD, 2, D=3),
+     SearchConfig(MOD, 2, D=4)],
+    ids=str,
+)
+def test_kill_masks_match_triple_scan(cfg):
+    cands = _candidates(cfg)
+    total = len(cands)
+    search = _Search(cfg, cands, None)
+    search.run((), 0, (1 << total) - 1)  # caches the pairs the search uses
+    assert search.kills
+    for a, b in itertools.combinations(range(total), 2):
+        scan = sum(
+            1 << c for c in range(b + 1, total)
+            if _bad_triple(cfg.setting, cands[a], cands[b], cands[c])
+        )
+        assert search._kill(a, b) == scan, (a, b)
+    assert len(search.kills) == math.comb(total, 2)
 
 
 def test_symmetry_table_is_capped():
