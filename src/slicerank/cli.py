@@ -111,16 +111,19 @@ def cmd_verify_tensor(args) -> int:
         kwargs = dict(mode="sampled", samples=args.samples, seed=args.seed)
     ts = tensor_mod.expand_tensor(setting, args.n, args.D)
     # verifying the expansion before decomposing frees the expansion check's
-    # regrouped table before the slices are built
+    # diagram before the slices are built, and dropping the expansion once it
+    # is decomposed frees its terms before the slices are checked
     ok_e, wit_e = tensor_mod.verify_expansion(ts, **kwargs)
     dec = tensor_mod.decompose(ts)
+    term_count = len(ts.terms)
+    del ts
     ok_d, wit_d = tensor_mod.verify_decomposition(dec, **kwargs)
     closed = (
         bounds_mod.constant_weight_bound(args.n)
         if setting == BINARY
         else bounds_mod.mod_count_bound(args.n, args.D)
     )
-    print(f"terms: {len(ts.terms)}")
+    print(f"terms: {term_count}")
     print(f"slices: {dec.slice_count} (closed-form bound {closed})")
     print(f"expansion_ok: {str(ok_e).lower()}")
     print(f"decomposition_ok: {str(ok_d).lower()}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -109,14 +110,6 @@ def tensor_value(x, y, z) -> int:
 # factor encoding: binary factors are exponent bitmasks (bit i <-> coordinate
 # i+1); mod-D factors are base-D packed character-index vectors (digit at
 # place D^i <-> coordinate i+1)
-
-
-def _unpack_digits(f: int, n: int, D: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        f, r = divmod(f, D)
-        out.append(r)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -246,7 +239,7 @@ def _measure_table(setting: str, n: int, D: int | None):
     return nz
 
 
-def _term_axis(fx, fy, fz, threshold, nz) -> int:
+def _term_axis(num, fx, fy, fz, threshold, nz) -> int:
     if nz is None:
         mx, my, mz = fx.bit_count(), fy.bit_count(), fz.bit_count()
     else:
@@ -257,7 +250,10 @@ def _term_axis(fx, fy, fz, threshold, nz) -> int:
         return 1
     if mz <= threshold:
         return 2
-    raise AssertionError("no axis within threshold: the expansion is broken")
+    raise ValueError(
+        f"term {(num, fx, fy, fz)} has no factor within the threshold {threshold}:"
+        " it is not a term of the expansion"
+    )
 
 
 def decompose(ts: TermSum) -> SliceDecomposition:
@@ -269,7 +265,7 @@ def decompose(ts: TermSum) -> SliceDecomposition:
     nz = _measure_table(ts.setting, ts.n, ts.D)
     groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for num, fx, fy, fz in ts.terms:
-        axis = _term_axis(fx, fy, fz, threshold, nz)
+        axis = _term_axis(num, fx, fy, fz, threshold, nz)
         factors = (fx, fy, fz)
         a, b = _OTHER_AXES[axis]
         groups.setdefault((axis, factors[axis]), []).append((num, factors[a], factors[b]))
@@ -287,8 +283,8 @@ def count_slices(ts: TermSum) -> int:
     nz = _measure_table(ts.setting, ts.n, ts.D)
     keys = set()
     add = keys.add
-    for _, fx, fy, fz in ts.terms:
-        axis = _term_axis(fx, fy, fz, threshold, nz)
+    for num, fx, fy, fz in ts.terms:
+        axis = _term_axis(num, fx, fy, fz, threshold, nz)
         add((axis, (fx, fy, fz)[axis]))
     return len(keys)
 
@@ -337,90 +333,262 @@ def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 # pointwise verification
 #
-# Each setting has one evaluator, and both the expansion and the
-# decomposition are fed to it as one table shape.  Binary keeps terms grouped
-# as (axis, factor, residual): a factor that is not a subset of the point's
-# mask on its axis zeroes the whole group, so the group is skipped, and the
-# expansion is regrouped by x-factor to get the same skip.  Mod-D has no such
-# skip (a character never vanishes), so its table is the flat
-# (num, fx, fy, fz) list and a decomposition is flattened back into terms.
+# The expansion and the decomposition are the same kind of object: a sum of
+# separable terms (num, fx, fy, fz), flattened lazily by _terms.  T is a
+# product over coordinates, so the sum is stored as a coordinate diagram in
+# the style of Bryant's decision diagrams: a level-k node is a tuple of edges
+# (label, coef, child), where label packs the coordinate-k digits of the
+# three factors and the child is a level-(k+1) node over the remaining
+# coordinates.  Nodes are built bottom-up and hash-consed with their
+# coefficients divided by their gcd (signed by the first edge), so sub-sums
+# equal up to a scalar are stored once.  The expansion, and any slice
+# decomposition of it, collapses to one node per level.
+#
+# Each setting has one evaluator over the diagram, and it serves both verify
+# functions and both value_at methods.  A node's value at a point depends
+# only on the point's coordinates from its level on, so within one evaluator
+# the values of the nodes at levels >= 1 are memoised by that coordinate
+# suffix; level 0 is evaluated afresh at each point (memoising it would
+# cache every point).  Binary values are integers: an edge counts iff its
+# monomial divides the point, i.e. its label's bits lie within the point's.
+# Mod-D values are power-basis bucket vectors, bucket r holding the
+# numerator of zeta_D^r: an edge adds its child's vector rotated by the
+# character phase label . (x_k, y_k, z_k) mod D.
 
 
-def _table(obj):
-    """The setting's table shape for a TermSum or a SliceDecomposition."""
+def _terms(obj):
+    """The flat (num, fx, fy, fz) terms of a TermSum or SliceDecomposition."""
     if isinstance(obj, TermSum):
-        if obj.setting != BINARY:
-            return obj.terms
-        groups: dict[int, list[tuple[int, int, int]]] = {}
-        for num, fx, fy, fz in obj.terms:
-            groups.setdefault(fx, []).append((num, fy, fz))
-        return [(0, fx, residual) for fx, residual in groups.items()]
-    if obj.setting == BINARY:
-        return [(sl.axis, sl.factor, sl.residual) for sl in obj.slices]
-    flat = []
+        yield from obj.terms
+        return
     for sl in obj.slices:
-        a, b = _OTHER_AXES[sl.axis]
-        factors = [0, 0, 0]
-        factors[sl.axis] = sl.factor
-        for num, fa, fb in sl.residual:
-            factors[a], factors[b] = fa, fb
-            flat.append((num, *factors))
-    return flat
+        f = sl.factor
+        if sl.axis == 0:
+            yield from ((num, f, a, b) for num, a, b in sl.residual)
+        elif sl.axis == 1:
+            yield from ((num, a, f, b) for num, a, b in sl.residual)
+        else:
+            yield from ((num, a, b, f) for num, a, b in sl.residual)
 
 
-def _binary_evaluator(table, mx, my, mz):
-    """value(ix, iy, iz): the grouped table's integer sum at the point with
-    subset masks (mx[ix], my[iy], mz[iz])."""
-    pre = [(axis, factor, *_OTHER_AXES[axis], residual) for axis, factor, residual in table]
+def _intern(packed, W: int, nodes: list, index: dict):
+    """(factor, node index) of the node whose edges are the packed ints
+    key + W * coef, with duplicate keys merged and zero edges dropped; the
+    node's coefficients are divided by their gcd and signed by the first
+    edge, and the factor carries what was divided out.  None if no edge is
+    left."""
+    merged: dict[int, int] = {}
+    for e in packed:
+        key = e % W
+        merged[key] = merged.get(key, 0) + e // W
+    edges = sorted((key, c) for key, c in merged.items() if c)
+    if not edges:
+        return None
+    g = math.gcd(*(c for _, c in edges))
+    if edges[0][1] < 0:
+        g = -g
+    node = tuple(key + W * (c // g) for key, c in edges)
+    idx = index.setdefault(node, len(nodes))
+    if idx == len(nodes):
+        nodes.append(node)
+    return g, idx
 
-    def value(ix, iy, iz):
-        masks = (mx[ix], my[iy], mz[iz])
-        total = 0
-        for axis, factor, a, b, residual in pre:
-            if factor & ~masks[axis]:
-                continue
-            pa, pb = masks[a], masks[b]
-            for num, fa, fb in residual:
-                if fa & ~pa == 0 and fb & ~pb == 0:
-                    total += num
-        return total
+
+def _diagram(terms, n: int, M: int):
+    """The hash-consed coordinate diagram of a term sum over an alphabet of
+    size M (2 in the binary setting, D in the mod-D setting).
+
+    Returns (coef, levels): levels[k] lists the level-k nodes, the root is
+    levels[0][0], and the sum is coef times the root's value (coef alone at
+    n = 0; coef = 0 when the terms cancel).  A node is a tuple of packed
+    edges label + M^3 * (child + C * coef), where C is the number of nodes
+    one level down (C = 1 and child = 0 at the last level).
+    """
+    L = M**3
+    # an item is (coef * C + child, fx, fy, fz): the next level's edge to it
+    # packs into one int, and a term is an item as it stands (C = 1)
+    items = terms
+    C = 1
+    levels = []
+    for k in range(n - 1, -1, -1):
+        P = M**k
+        W = L * C
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        for cc, fx, fy, fz in items:
+            dx, fx = divmod(fx, P)
+            dy, fy = divmod(fy, P)
+            dz, fz = divmod(fz, P)
+            if not (0 <= dx < M and 0 <= dy < M and 0 <= dz < M):
+                raise ValueError(f"a term factor lies outside the domain of n={n}")
+            groups.setdefault((fx, fy, fz), []).append(dx + M * dy + M * M * dz + L * cc)
+        nodes: list[tuple[int, ...]] = []
+        index: dict[tuple[int, ...], int] = {}
+        # a group's packed edges decide its (factor, node), and groups often
+        # repeat exactly (the expansion's differ only by a few scalars), so
+        # each distinct edge tuple is normalised once; each group's list is
+        # replaced by its entry in place, freeing the lists as it goes
+        entries: dict[tuple[int, ...], tuple[int, int] | None] = {}
+        for prefix, packed in groups.items():
+            packed = tuple(packed)
+            if packed not in entries:
+                entries[packed] = _intern(packed, W, nodes, index)
+            groups[prefix] = entries[packed]
+        levels.append(nodes)
+        C = len(nodes)
+        # consumed by the next level before C changes again
+        items = ((entry[0] * C + entry[1], *prefix) for prefix, entry in groups.items() if entry)
+    # what is left is the root's coefficient (the constant term at n = 0)
+    coef = 0
+    for c, fx, fy, fz in items:
+        if fx or fy or fz:
+            raise ValueError(f"a term factor lies outside the domain of n={n}")
+        coef += c
+    return coef, levels[::-1]
+
+
+def _evaluator(diagram, n: int, M: int, one, row, combine):
+    """value(sx, sy, sz): the diagram's value at the point whose three
+    coordinate tuples have lexicographic ranks sx, sy, sz (so that the
+    coordinates from k on have rank s % M^(n-k)).
+
+    row(edges, q) turns a node's (label, coef, child) edges into what the
+    node adds up at coordinate triple q = x_k + M y_k + M^2 z_k, and
+    combine(row, child_values) adds it up.  Rows are built once per
+    (level, q), and the node values at levels >= 1 are memoised by suffix."""
+    coef, levels = diagram
+    L = M**3
+    places = [M ** (n - 1 - k) for k in range(n)]
+    widths = [len(levels[k + 1]) for k in range(n - 1)] + [1]
+    rows: list[dict] = [{} for _ in range(n)]
+    memo: list[dict] = [{} for _ in range(n)]
+    leaf = [one]
+
+    def node_rows(k, q):
+        # the root's coefficient is folded into the unmemoised level 0
+        scale = coef if k == 0 else 1
+        out = []
+        for node in levels[k]:
+            edges = []
+            for e in node:
+                rest, label = divmod(e, L)
+                c, child = divmod(rest, widths[k])
+                edges.append((label, scale * c, child))
+            out.append(row(edges, q))
+        return out
+
+    if n == 0 or not coef:
+        constant = row([(0, coef, 0)], 0)
+        return lambda sx, sy, sz: combine(constant, leaf)
+
+    def value(sx, sy, sz):
+        # walk down to the first level whose suffix is memoised (or past the
+        # last level), then combine back up to the root
+        qs, keys = [], []
+        k = 0
+        while True:
+            P = places[k]
+            qx, sx = divmod(sx, P)
+            qy, sy = divmod(sy, P)
+            qz, sz = divmod(sz, P)
+            qs.append(qx + M * (qy + M * qz))
+            k += 1
+            if k == n:
+                vals = leaf
+                break
+            key = (sx, sy, sz)
+            vals = memo[k].get(key)
+            if vals is not None:
+                break
+            keys.append(key)
+        for k in range(k - 1, -1, -1):
+            level_rows = rows[k].get(qs[k])
+            if level_rows is None:
+                level_rows = rows[k][qs[k]] = node_rows(k, qs[k])
+            vals = [combine(r, vals) for r in level_rows]
+            if k:
+                memo[k][keys[k - 1]] = vals
+        return vals[0]
 
     return value
 
 
-def _mod_rows(factors, points, n, D):
-    unpacked = {f: _unpack_digits(f, n, D) for f in factors}
-    rows = {}
-    for f, digs in unpacked.items():
-        rows[f] = [sum(a * b for a, b in zip(digs, p)) % D for p in points]
-    return rows
+def _binary_evaluator(diagram, n: int):
+    """Integer values.  An edge counts iff its monomial divides the point,
+    i.e. its label's bits lie within q's (x_k + 2 y_k + 4 z_k)."""
+
+    def row(edges, q):
+        merged: dict[int, int] = {}
+        for label, c, child in edges:
+            if not label & ~q:
+                merged[child] = merged.get(child, 0) + c
+        return [(c, child) for child, c in merged.items() if c]
+
+    def combine(row, child):
+        return sum([c * child[j] for c, j in row])
+
+    return _evaluator(diagram, n, 2, 1, row, combine)
 
 
-def _mod_evaluator(table, n, D, xs, ys, zs):
-    """value(ix, iy, iz): the flat table's sum at (xs[ix], ys[iy], zs[iz]) as
-    power-basis buckets, bucket k holding the numerator of zeta_D^k."""
-    factors = {f for _, fx, fy, fz in table for f in (fx, fy, fz)}
-    rx, ry, rz = (_mod_rows(factors, pts, n, D) for pts in (xs, ys, zs))
-    pre = [(num, rx[fx], ry[fy], rz[fz]) for num, fx, fy, fz in table]
+def _mod_evaluator(diagram, n: int, D: int):
+    """Power-basis bucket vectors (a fresh list per call), bucket r holding
+    the numerator of zeta_D^r.  An edge adds its child's vector rotated by
+    the phase label . (x_k, y_k, z_k) mod D; a row keeps, per child, the
+    circulant matrix of its phase polynomial."""
+    mul = operator.mul
 
-    def value(ix, iy, iz):
-        buckets = [0] * D
-        for num, fxr, fyr, fzr in pre:
-            buckets[(fxr[ix] + fyr[iy] + fzr[iz]) % D] += num
-        return buckets
+    def row(edges, q):
+        qd = (q % D, q // D % D, q // (D * D))
+        polys: dict[int, list[int]] = {}
+        for label, c, child in edges:
+            ph = (label % D * qd[0] + label // D % D * qd[1] + label // (D * D) * qd[2]) % D
+            polys.setdefault(child, [0] * D)[ph] += c
+        return [
+            (child, [[p[(i - t) % D] for t in range(D)] for i in range(D)])
+            for child, p in polys.items()
+            if any(p)
+        ]
 
-    return value
+    def combine(row, child):
+        out = [0] * D
+        for j, circulant in row:
+            vec = child[j]
+            out = [o + sum(map(mul, line, vec)) for o, line in zip(out, circulant)]
+        return out
+
+    return _evaluator(diagram, n, D, [1] + [0] * (D - 1), row, combine)
+
+
+def _rank(point, n: int, M: int) -> int:
+    """Lexicographic rank of a coordinate tuple in range(M)^n."""
+    if len(point) != n:
+        raise ValueError(f"expected {n} coordinates, got {len(point)}")
+    rank = 0
+    for d in point:
+        if not 0 <= d < M:
+            raise ValueError(f"coordinate {d} lies outside range({M})")
+        rank = rank * M + d
+    return rank
+
+
+def _coords(v) -> tuple[int, ...]:
+    if isinstance(v, SubsetVector):
+        return v.coords()
+    if isinstance(v, DVector):
+        return v.coords
+    return tuple(v)
 
 
 def _value_at(obj, x, y, z):
     """A TermSum's or SliceDecomposition's exact value at one triple of
     vectors or coordinate tuples: int (binary) or Fraction (mod-D)."""
+    n, D = obj.n, obj.D
+    M = 2 if obj.setting == BINARY else D
+    ranks = [_rank(_coords(v), n, M) for v in (x, y, z)]
+    diagram = _diagram(_terms(obj), n, M)
     if obj.setting == BINARY:
-        masks = ([v.bits if isinstance(v, SubsetVector) else _mask(v)] for v in (x, y, z))
-        return _binary_evaluator(_table(obj), *masks)(0, 0, 0)
-    points = ([v.coords if isinstance(v, DVector) else tuple(v)] for v in (x, y, z))
-    buckets = _mod_evaluator(_table(obj), obj.n, obj.D, *points)(0, 0, 0)
-    frac = CycFrac.make(CycElem.from_power_vector(obj.D, buckets), obj.denominator).as_fraction()
+        return _binary_evaluator(diagram, n)(*ranks)
+    buckets = _mod_evaluator(diagram, n, D)(*ranks)
+    frac = CycFrac.make(CycElem.from_power_vector(D, buckets), obj.denominator).as_fraction()
     if frac is None:
         raise ArithmeticError("separable sum evaluated to an irrational value")
     return frac
@@ -444,29 +612,35 @@ def _verify(obj, cost, mode, samples, seed, point_cap, work_cap):
                 f"exhaustive verification over {m ** 3} points is over the cap; use sampled mode"
             )
         xs = ys = zs = list(itertools.product(range(M), repeat=n))
+        rx = ry = rz = range(m)
         indices = itertools.product(range(m), repeat=3)
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled verification needs at least 1 sample, got {samples}")
         xs, ys, zs = _sampled_tuples(M, n, samples, seed)
+        rx, ry, rz = ([_rank(t, n, M) for t in pts] for pts in (xs, ys, zs))
         indices = ((i, i, i) for i in range(samples))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    diagram = _diagram(_terms(obj), n, M)
     if obj.setting == BINARY:
         mx, my, mz = ([_mask(t) for t in pts] for pts in (xs, ys, zs))
-        value = _binary_evaluator(_table(obj), mx, my, mz)
+        value = _binary_evaluator(diagram, n)
 
         def ok(ix, iy, iz):
-            return value(ix, iy, iz) == _eval_binary_masks(mx[ix], my[iy], mz[iz], n)
+            return value(rx[ix], ry[iy], rz[iz]) == _eval_binary_masks(mx[ix], my[iy], mz[iz], n)
 
     else:
-        value = _mod_evaluator(_table(obj), n, D, xs, ys, zs)
+        value = _mod_evaluator(diagram, n, D)
         denominator = obj.denominator
 
         def ok(ix, iy, iz):
-            target = denominator * _eval_mod_tuples(xs[ix], ys[iy], zs[iz])
-            return CycElem.from_power_vector(D, value(ix, iy, iz)) == CycElem.from_int(D, target)
+            # reduction mod Phi_D is Z-linear, so one reduction of the
+            # difference decides equality
+            buckets = value(rx[ix], ry[iy], rz[iz])
+            buckets[0] -= denominator * _eval_mod_tuples(xs[ix], ys[iy], zs[iz])
+            return CycElem.from_power_vector(D, buckets).is_zero()
 
     for ix, iy, iz in indices:
         if not ok(ix, iy, iz):

@@ -118,6 +118,35 @@ def element_triples(draw):
     return draw(e), draw(e), draw(e)
 
 
+@st.composite
+def bucket_compares(draw):
+    # a bucket vector and an integer target; half of the draws add a
+    # multiple of Phi_D to the target, so that the two are equal
+    D = draw(st.integers(3, 6))
+    target = draw(st.integers(-50, 50))
+    buckets = draw(st.lists(st.integers(-20, 20), min_size=D, max_size=D))
+    if draw(st.booleans()):
+        phi = cyclotomic_poly(D)
+        buckets = [target] + [0] * (D - 1)
+        for shift in range(D - len(phi) + 1):
+            c = draw(st.integers(-5, 5))
+            for j, p in enumerate(phi):
+                buckets[shift + j] += c * p
+    return D, buckets, target
+
+
+@settings(max_examples=200)
+@given(bucket_compares())
+def test_one_reduction_of_the_difference_decides_equality(case):
+    # reduction mod Phi_D is Z-linear, so subtracting the target from
+    # bucket 0 and testing for zero agrees with comparing the two reductions
+    D, buckets, target = case
+    equal = CycElem.from_power_vector(D, buckets) == CycElem.from_int(D, target)
+    diff = list(buckets)
+    diff[0] -= target
+    assert CycElem.from_power_vector(D, diff).is_zero() == equal
+
+
 @given(element_triples())
 def test_ring_laws(triple):
     a, b, c = triple

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from slicerank.setsys import MOD
+from slicerank.tensor import BoundCertificate, decomposition_size
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -26,3 +29,23 @@ def test_extremal_table_rows():
         ["capset", "1", "2", "True", "3", "3"],
         ["capset", "2", "4", "True", "9", "9"],
     ]
+
+
+def test_certify_demo_writes_round_tripping_certificates(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "scripts/certify_demo.py",
+         "--seeds", "1", "--max-n", "2", "--out", str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    paths = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in paths] == sorted(
+        f"cert_D{D}_n{n}_s0.json" for D in (3, 4, 5) for n in (1, 2)
+    )
+    for path in paths:
+        text = path.read_text()
+        cert = BoundCertificate.from_json(text)
+        assert cert.to_json() == text
+        assert cert.setting == MOD and cert.diagonal_ok
+        assert cert.slice_count == decomposition_size(MOD, cert.n, cert.D)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from slicerank import tensor
 from slicerank.bounds import constant_weight_bound, mod_count_bound, subset_family_bound
+from slicerank.exactnum import CycElem
 from slicerank.setsys import BINARY, MOD, DVector, Family, SubsetVector
 from slicerank.tensor import (
     BoundCertificate,
@@ -33,6 +34,15 @@ def sv(*coords):
 
 def dv(D, *coords):
     return DVector(len(coords), D, tuple(coords))
+
+
+def _unpack_digits(f, n, D):
+    # a base-D packed character-index vector, coordinate 1 first
+    out = []
+    for _ in range(n):
+        f, r = divmod(f, D)
+        out.append(r)
+    return tuple(out)
 
 
 # --- pointwise values -------------------------------------------------------
@@ -145,8 +155,6 @@ def test_factor_triples_are_distinct():
 
 
 def test_mod_total_nontrivial_count_invariant():
-    from slicerank.tensor import _unpack_digits
-
     for D, n in [(3, 2), (4, 2), (5, 1)]:
         for _, fx, fy, fz in expand_tensor(MOD, n, D).terms:
             total = sum(
@@ -187,8 +195,6 @@ def test_decompose_binary_n1_structure():
 
 
 def test_decompose_factor_measures_within_threshold():
-    from slicerank.tensor import _unpack_digits
-
     for n in (1, 2, 3, 4):
         dec = decompose(expand_tensor(BINARY, n))
         for sl in dec.slices:
@@ -314,6 +320,233 @@ def test_count_slices_matches_decompose():
     for setting, n, D in [(BINARY, 0, None), (BINARY, 3, None), (MOD, 2, 4)]:
         ts = expand_tensor(setting, n, D)
         assert count_slices(ts) == decompose(ts).slice_count
+
+
+def test_decompose_rejects_a_term_with_no_axis_within_threshold():
+    # every factor has degree 3 > n // 3 = 1, so no slice can take the term
+    ts = TermSum(BINARY, 3, None, 1, ((1, 7, 7, 7),))
+    with pytest.raises(ValueError, match=r"\(1, 7, 7, 7\)"):
+        decompose(ts)
+    with pytest.raises(ValueError, match=r"\(1, 7, 7, 7\)"):
+        count_slices(ts)
+
+
+# --- the coordinate diagram against the flat per-point reference -------------------
+#
+# The reference is the per-point evaluation the diagram replaced: binary terms
+# grouped as (axis, factor, residual) and skipped when the factor does not
+# divide the point; mod-D terms as one flat (num, fx, fy, fz) table whose
+# character phases are precomputed per factor and point.
+
+
+def _ref_table(obj):
+    if isinstance(obj, TermSum):
+        if obj.setting != BINARY:
+            return obj.terms
+        groups = {}
+        for num, fx, fy, fz in obj.terms:
+            groups.setdefault(fx, []).append((num, fy, fz))
+        return [(0, fx, residual) for fx, residual in groups.items()]
+    if obj.setting == BINARY:
+        return [(sl.axis, sl.factor, sl.residual) for sl in obj.slices]
+    flat = []
+    for sl in obj.slices:
+        a, b = tensor._OTHER_AXES[sl.axis]
+        factors = [0, 0, 0]
+        factors[sl.axis] = sl.factor
+        for num, fa, fb in sl.residual:
+            factors[a], factors[b] = fa, fb
+            flat.append((num, *factors))
+    return flat
+
+
+def _ref_binary_evaluator(table, mx, my, mz):
+    pre = [(axis, factor, *tensor._OTHER_AXES[axis], residual) for axis, factor, residual in table]
+
+    def value(ix, iy, iz):
+        masks = (mx[ix], my[iy], mz[iz])
+        total = 0
+        for axis, factor, a, b, residual in pre:
+            if factor & ~masks[axis]:
+                continue
+            pa, pb = masks[a], masks[b]
+            for num, fa, fb in residual:
+                if fa & ~pa == 0 and fb & ~pb == 0:
+                    total += num
+        return total
+
+    return value
+
+
+def _ref_mod_rows(factors, points, n, D):
+    unpacked = {f: _unpack_digits(f, n, D) for f in factors}
+    return {f: [sum(a * b for a, b in zip(digs, p)) % D for p in points]
+            for f, digs in unpacked.items()}
+
+
+def _ref_mod_evaluator(table, n, D, xs, ys, zs):
+    factors = {f for _, fx, fy, fz in table for f in (fx, fy, fz)}
+    rx, ry, rz = (_ref_mod_rows(factors, pts, n, D) for pts in (xs, ys, zs))
+    pre = [(num, rx[fx], ry[fy], rz[fz]) for num, fx, fy, fz in table]
+
+    def value(ix, iy, iz):
+        buckets = [0] * D
+        for num, fxr, fyr, fzr in pre:
+            buckets[(fxr[ix] + fyr[iy] + fzr[iz]) % D] += num
+        return buckets
+
+    return value
+
+
+def _ref_values(obj, xs, ys, zs):
+    if obj.setting == BINARY:
+        masks = ([tensor._mask(t) for t in pts] for pts in (xs, ys, zs))
+        return _ref_binary_evaluator(_ref_table(obj), *masks)
+    return _ref_mod_evaluator(_ref_table(obj), obj.n, obj.D, xs, ys, zs)
+
+
+def _ref_ok(obj, value, x, y, z):
+    if obj.setting == BINARY:
+        return value == tensor._eval_binary_masks(tensor._mask(x), tensor._mask(y),
+                                                  tensor._mask(z), obj.n)
+    target = obj.denominator * tensor._eval_mod_tuples(x, y, z)
+    return CycElem.from_power_vector(obj.D, value) == CycElem.from_int(obj.D, target)
+
+
+def _diagram_values(obj):
+    M = 2 if obj.setting == BINARY else obj.D
+    diagram = tensor._diagram(tensor._terms(obj), obj.n, M)
+    if obj.setting == BINARY:
+        return tensor._binary_evaluator(diagram, obj.n)
+    return tensor._mod_evaluator(diagram, obj.n, obj.D)
+
+
+def _check_against_reference(ts, dec, samples=0, seed=0):
+    # ts and dec hold the same multiset of terms, so one reference pass
+    # serves both: equal values at every point, equal verify verdicts and
+    # witnesses, exhaustive and (if asked) sampled
+    M = 2 if ts.setting == BINARY else ts.D
+    pts = list(itertools.product(range(M), repeat=ts.n))
+    ref = _ref_values(ts, pts, pts, pts)
+    new = [_diagram_values(obj) for obj in (ts, dec)]
+    witness = None
+    for ix, iy, iz in itertools.product(range(len(pts)), repeat=3):
+        want = ref(ix, iy, iz)
+        assert [value(ix, iy, iz) for value in new] == [want, want]
+        if witness is None and not _ref_ok(ts, want, pts[ix], pts[iy], pts[iz]):
+            witness = (pts[ix], pts[iy], pts[iz])
+    expected = (witness is None, witness)
+    assert verify_expansion(ts) == expected
+    assert verify_decomposition(dec) == expected
+    if samples:
+        xs, ys, zs = tensor._sampled_tuples(M, ts.n, samples, seed)
+        ref = _ref_values(ts, xs, ys, zs)
+        bad = [i for i in range(samples) if not _ref_ok(ts, ref(i, i, i), xs[i], ys[i], zs[i])]
+        expected = (True, None) if not bad else (False, (xs[bad[0]], ys[bad[0]], zs[bad[0]]))
+        kwargs = dict(mode="sampled", samples=samples, seed=seed)
+        assert verify_expansion(ts, **kwargs) == expected
+        assert verify_decomposition(dec, **kwargs) == expected
+
+
+def _as_slices(ts, axes):
+    # one single-term slice per term, cut on the given axis
+    slices = []
+    for axis, (num, *factors) in zip(axes, ts.terms):
+        a, b = tensor._OTHER_AXES[axis]
+        slices.append(Slice(axis, factors[axis], ((num, factors[a], factors[b]),)))
+    return SliceDecomposition(ts.setting, ts.n, ts.D, ts.denominator, tuple(slices))
+
+
+@st.composite
+def term_tables(draw):
+    setting = draw(st.sampled_from([BINARY, MOD]))
+    if setting == BINARY:
+        n, D, M = draw(st.integers(0, 3)), None, 2
+    else:
+        D = draw(st.sampled_from([3, 4, 5]))
+        n, M = draw(st.integers(0, 2)), D
+    factor = st.integers(0, M**n - 1)
+    pool = draw(st.lists(st.tuples(st.integers(-3, 3), factor, factor, factor), max_size=8))
+    if draw(st.booleans()):
+        # near the expansion, so that mismatches sit away from the first point
+        pool += expand_tensor(setting, n, D).terms
+    if pool:
+        pool += draw(st.lists(st.sampled_from(pool), max_size=4))
+        pool += [(-num, *f) for num, *f in draw(st.lists(st.sampled_from(pool), max_size=4))]
+    terms = tuple(draw(st.permutations(pool)))
+    ts = TermSum(setting, n, D, 1 if D is None else D**n, terms)
+    axes = draw(st.lists(st.integers(0, 2), min_size=len(terms), max_size=len(terms)))
+    return ts, _as_slices(ts, axes), draw(st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(term_tables())
+def test_diagram_matches_flat_reference_on_random_tables(table):
+    ts, dec, seed = table
+    _check_against_reference(ts, dec, samples=25, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "setting,n,D", [(BINARY, 0, None), (BINARY, 2, None), (MOD, 0, 4), (MOD, 1, 3), (MOD, 2, 5)]
+)
+def test_diagram_matches_flat_reference_on_edge_tables(setting, n, D):
+    den = 1 if D is None else D**n
+    terms = expand_tensor(setting, n, D).terms
+    cancelling = terms + tuple((-num, *f) for num, *f in terms)
+    constants = ((3, 0, 0, 0), (-5, 0, 0, 0), (2, 0, 0, 0))
+    for table in ((), cancelling, constants if n == 0 else terms):
+        ts = TermSum(setting, n, D, den, table)
+        _check_against_reference(ts, _as_slices(ts, [k % 3 for k in range(len(table))]), 5)
+
+
+def test_diagram_of_all_cancelling_terms_is_empty():
+    ts = expand_tensor(MOD, 2, 3)
+    assert tensor._diagram(ts.terms + tuple((-t[0], *t[1:]) for t in ts.terms), 2, 3) == (0, [[], []])
+
+
+def test_diagram_rejects_factors_outside_the_domain():
+    for terms, n in [(((1, 4, 0, 0),), 2), (((1, 0, 0, 1),), 0), (((1, -1, 0, 0),), 2)]:
+        with pytest.raises(ValueError):
+            tensor._diagram(terms, n, 2)
+
+
+@pytest.mark.parametrize(
+    "setting,n,D",
+    [(BINARY, n, None) for n in range(1, 9)]
+    + [(MOD, n, D) for D in (3, 4, 5) for n in range(0, 5)],
+)
+def test_expansion_diagram_has_one_node_per_level(setting, n, D):
+    M = 2 if D is None else D
+    ts = expand_tensor(setting, n, D)
+    coef, levels = diagram = tensor._diagram(tensor._terms(ts), n, M)
+    width = 4 if D is None else 3 * (D - 1) + (D != 3)
+    assert [len(level) for level in levels] == [1] * n
+    assert [len(level[0]) for level in levels] == [width] * n
+    assert coef != 0
+    assert tensor._diagram(tensor._terms(decompose(ts)), n, M) == diagram
+
+
+def test_value_at_accepts_vectors():
+    for setting, n, D in [(BINARY, 3, None), (MOD, 2, 3), (MOD, 2, 4)]:
+        ts = expand_tensor(setting, n, D)
+        dec = decompose(ts)
+        M = 2 if D is None else D
+        vec = sv if D is None else (lambda *c: dv(D, *c))
+        pts = list(itertools.product(range(M), repeat=n))
+        for x, y, z in [(pts[0], pts[-1], pts[1]), (pts[-1], pts[-1], pts[-1]),
+                        (pts[1], pts[2], pts[-2])]:
+            want = tensor_value(vec(*x), vec(*y), vec(*z))
+            for obj in (ts, dec):
+                assert obj.value_at(vec(*x), vec(*y), vec(*z)) == want
+                assert obj.value_at(x, y, z) == want
+
+
+def test_value_at_rejects_points_outside_the_domain():
+    ts = expand_tensor(MOD, 2, 3)
+    with pytest.raises(ValueError):
+        ts.value_at((0, 1), (1, 1), (0, 3))
+    with pytest.raises(ValueError):
+        ts.value_at((0, 1), (1, 1), (0,))
 
 
 @st.composite
