@@ -256,7 +256,8 @@ def main(argv=None) -> int:
     except FamilyFormatError as exc:
         print(f"error: malformed family file: {exc}", file=sys.stderr)
         return 2
-    except (tensor_mod.ResourceLimitError, OSError, ValueError) as exc:
+    except (tensor_mod.ResourceLimitError, search_mod.BoundViolationError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

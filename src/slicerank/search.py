@@ -12,8 +12,9 @@ Sets of candidates are Python ints used as bitmasks.  Each node carries its
 alive mask: the candidates above its largest member that can still join it.
 Admitting a candidate is one bit test.  Adding candidate b removes from the
 child's mask, for each member a, the kill mask of the pair: the candidates
-c > b for which (a, b, c) is a forbidden triple.  Kill masks are computed
-on first use and cached, at most C(N, 2) of them for N candidates.
+c > b for which (a, b, c) is a forbidden triple, one `setsys.completions`
+call over the candidates' value masks.  Kill masks are computed on first
+use and cached, at most C(N, 2) of them for N candidates.
 
 Symmetry reduction keeps only partial families that are lexicographically
 least in their orbit under coordinate permutations (composed with
@@ -39,10 +40,18 @@ from dataclasses import dataclass
 from random import Random
 
 from . import bounds
-from .setsys import BINARY, MOD, DVector, Family, SubsetVector
+from .setsys import (
+    BINARY,
+    CAPSET,
+    MOD,
+    DVector,
+    Family,
+    SubsetVector,
+    completions,
+    value_masks,
+)
 from .tensor import ResourceLimitError
 
-CAPSET = "capset"
 _MAX_SYMMETRY_TABLE = 2**26  # entries of two bytes each: 128 MiB
 
 
@@ -95,7 +104,8 @@ def _candidates(cfg: SearchConfig):
 
 
 def _bad_triple(cfg_setting: str, x, y, z) -> bool:
-    """Does adding z to a family containing x, y create a forbidden triple?"""
+    """Is (x, y, z) a forbidden triple?  The triple-by-triple oracle of
+    `brute_force_max`, kept apart from `setsys.completions` on purpose."""
     if cfg_setting == BINARY:
         for a, b, c in zip(x, y, z):
             if a + b + c == 2:
@@ -105,14 +115,6 @@ def _bad_triple(cfg_setting: str, x, y, z) -> bool:
         return all((a + b + c) % 3 == 0 for a, b, c in zip(x, y, z))
     for a, b, c in zip(x, y, z):
         if ((a == b) + (b == c) + (a == c)) == 1:
-            return False
-    return True
-
-
-def _can_join(setting: str, members, c) -> bool:
-    """Can c join the free family `members` without a forbidden triple?"""
-    for a, b in itertools.combinations(members, 2):
-        if _bad_triple(setting, a, b, c):
             return False
     return True
 
@@ -167,12 +169,17 @@ class _Budget(Exception):
     pass
 
 
+class BoundViolationError(RuntimeError):
+    """A search result exceeds a proved bound, which means a bug."""
+
+
 class _Search:
     def __init__(self, cfg: SearchConfig, cands, group):
         self.cfg = cfg
         self.cands = cands
         self.group = group
         self.images = [0] * len(group) if group is not None else None
+        self.masks = value_masks(cands, cfg.n)
         self.kills: dict[int, int] = {}
         self.nodes = 0
         self.best: tuple = ()
@@ -196,12 +203,8 @@ class _Search:
         key = a * total + b
         mask = self.kills.get(key)
         if mask is None:
-            cands, setting = self.cands, self.cfg.setting
-            x, y = cands[a], cands[b]
-            mask = 0
-            for c in range(b + 1, total):
-                if _bad_triple(setting, x, y, cands[c]):
-                    mask |= 1 << c
+            above = ((1 << total) - 1) & -(2 << b)
+            mask = completions(self.cfg.setting, self.masks, self.cands[a], self.cands[b], above)
             self.kills[key] = mask
         return mask
 
@@ -291,12 +294,17 @@ def greedy_witness(cfg: SearchConfig, seed: int) -> Family:
     """Seeded random greedy insertion; always returns a free family, and the
     same one for the same seed."""
     cands = _candidates(cfg)
-    Random(seed).shuffle(cands)
+    masks = value_masks(cands, cfg.n)
+    order = list(range(len(cands)))
+    Random(seed).shuffle(order)
+    alive = (1 << len(cands)) - 1  # the candidates no member pair rules out
     members: list = []
-    for c in cands:
-        if _can_join(cfg.setting, members, c):
+    for c in order:
+        if alive >> c & 1:
+            for a in members:
+                alive &= ~completions(cfg.setting, masks, cands[a], cands[c], alive)
             members.append(c)
-    return _to_family(cfg, members)
+    return _to_family(cfg, [cands[c] for c in members])
 
 
 def tensor_power(family: Family, k: int, max_size: int = 200_000) -> Family:
@@ -320,7 +328,7 @@ def tensor_power(family: Family, k: int, max_size: int = 200_000) -> Family:
 
 def validate_against_bounds(result: SearchResult, cfg: SearchConfig) -> dict:
     """Compare a search maximum with the proved closed-form bounds; a
-    violation would mean a bug, so it raises."""
+    violation would mean a bug, so it raises BoundViolationError."""
     report = {
         "setting": cfg.setting,
         "n": cfg.n,
@@ -333,20 +341,20 @@ def validate_against_bounds(result: SearchResult, cfg: SearchConfig) -> dict:
         report["bound"] = bound
         report["bound_name"] = "family-count"
         if result.max_size > bound:
-            raise AssertionError("search exceeded the proved family bound")
+            raise BoundViolationError("search exceeded the proved family bound")
     elif cfg.setting == MOD:
         bound = bounds.mod_count_bound(cfg.n, cfg.D)
         report["bound"] = bound
         report["bound_name"] = "mod-slice-count"
         if result.max_size > bound:
-            raise AssertionError("search exceeded the proved slice-count bound")
+            raise BoundViolationError("search exceeded the proved slice-count bound")
         if not bounds.search_max_within_growth(result.max_size, cfg.n, cfg.D):
-            raise AssertionError("search exceeded 3 * growth-rate^n")
+            raise BoundViolationError("search exceeded 3 * growth-rate^n")
         report["within_growth_power"] = True
     else:
         bound = 3**cfg.n
         report["bound"] = bound
         report["bound_name"] = "universe-size"
         if result.max_size > bound:
-            raise AssertionError("search exceeded the universe size")
+            raise BoundViolationError("search exceeded the universe size")
     return report

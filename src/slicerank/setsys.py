@@ -6,6 +6,12 @@ the binary setting iff no coordinate shows exactly two ones, and in the
 mod-D setting iff every coordinate is all-equal or all-distinct (i.e. no
 coordinate has exactly two equal entries).  Everything here is an immutable
 value; all operations are pure.
+
+Every triple predicate is a per-coordinate constraint on the third member
+once the first two are fixed, so the family-level searches run over pairs:
+`value_masks` indexes the members by digit, and `completions` turns a pair
+into the bitmask of the members that complete a forbidden triple with it.
+`slicerank.tensor` and `slicerank.search` use the same two functions.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from typing import Iterable, Sequence
 
 BINARY = "binary"
 MOD = "mod-d"
+CAPSET = "capset"  # the progression rule x + y + z = 0 over F_3
 
 
 class FamilyFormatError(ValueError):
@@ -220,6 +227,64 @@ def parse_family(
 
 
 # ---------------------------------------------------------------------------
+# pair masks: each triple predicate as a per-coordinate constraint on z
+
+
+def value_masks(codes: Sequence[Sequence[int]], n: int) -> list[dict[int, int]]:
+    """masks[i][v] is the bitmask of the indices j with codes[j][i] == v,
+    for each value v that occurs at coordinate i."""
+    masks: list[dict[int, int]] = [{} for _ in range(n)]
+    for j, code in enumerate(codes):
+        bit = 1 << j
+        for col, v in zip(masks, code):
+            col[v] = col.get(v, 0) | bit
+    return masks
+
+
+def completions(rule: str, masks: list[dict[int, int]], x, y, within: int) -> int:
+    """The mask of the indices z in `within` (over the codes of `masks`)
+    for which the triple (x, y, z) satisfies `rule`.  With (a, b) = (x_i,
+    y_i), the rule fixes the digits z_i may take at each coordinate i:
+
+    * BINARY: 0 if a != b, 1 if a = b = 1, any if a = b = 0 -- no
+      coordinate holds exactly two ones;
+    * MOD: a if a = b, neither a nor b otherwise -- no coordinate holds
+      exactly two equal entries;
+    * CAPSET: -(a + b) mod 3 -- x + y + z = 0 over F_3.
+
+    On distinct triples BINARY and MOD are `triple_is_sunflower`; on every
+    triple, repeated members included, they say that T(x, y, z) != 0 for
+    the tensors of `slicerank.tensor`.  Stops as soon as the mask is 0."""
+    m = within
+    if rule == BINARY:
+        for col, a, b in zip(masks, x, y):
+            if a != b:
+                m &= col.get(0, 0)
+            elif a:
+                m &= col.get(1, 0)
+            else:
+                continue
+            if not m:
+                break
+    elif rule == MOD:
+        for col, a, b in zip(masks, x, y):
+            if a == b:
+                m &= col.get(a, 0)
+            else:
+                m &= ~(col.get(a, 0) | col.get(b, 0))
+            if not m:
+                break
+    elif rule == CAPSET:
+        for col, a, b in zip(masks, x, y):
+            m &= col.get(-(a + b) % 3, 0)
+            if not m:
+                break
+    else:
+        raise ValueError(f"unknown triple rule {rule!r}")
+    return m
+
+
+# ---------------------------------------------------------------------------
 # sunflower predicates
 
 
@@ -262,10 +327,26 @@ def triple_is_sunflower(x, y, z) -> bool:
 
 
 def find_sunflower(family: Family):
-    """Lexicographically least sunflower triple in the family, or None."""
-    for triple in itertools.combinations(family.members, 3):
-        if triple_is_sunflower(*triple):
-            return triple
+    """Lexicographically least sunflower triple in the family, or None.
+
+    Members are stored sorted, so index order is lex order.  For each pair
+    a < b in that order, `completions` gives the c > b that make (a, b, c)
+    a sunflower in one mask; the lowest bit of the first nonzero mask is the
+    least triple, the one a scan of `itertools.combinations` would return
+    first.  That is O(|F|^2 n) mask operations instead of |F|^3 triples."""
+    return _first_triple(family, family.setting)
+
+
+def _first_triple(family: Family, rule: str):
+    members = family.members
+    codes = [_key(m) for m in members]
+    masks = value_masks(codes, family.n)
+    full = (1 << len(codes)) - 1
+    for a, x in enumerate(codes):
+        for b in range(a + 1, len(codes) - 1):
+            third = completions(rule, masks, x, codes[b], full & -(2 << b))
+            if third:
+                return members[a], members[b], members[(third & -third).bit_length() - 1]
     return None
 
 
@@ -293,10 +374,7 @@ def find_progression(family: Family):
     (equivalently a three-term arithmetic progression), or None."""
     if family.setting != MOD or family.D != 3:
         raise ValueError("capset predicates require the mod-3 setting")
-    for x, y, z in itertools.combinations(family.members, 3):
-        if all((a + b + c) % 3 == 0 for a, b, c in zip(x.coords, y.coords, z.coords)):
-            return (x, y, z)
-    return None
+    return _first_triple(family, CAPSET)
 
 
 def is_capset(family: Family) -> bool:

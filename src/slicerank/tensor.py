@@ -40,9 +40,11 @@ from .setsys import (
     DVector,
     Family,
     SubsetVector,
+    completions,
     find_sunflower,
     layer_split,
     parse_family,
+    value_masks,
 )
 
 DEFAULT_MAX_TERMS = 1 << 20
@@ -239,7 +241,17 @@ def _measure_table(setting: str, n: int, D: int | None):
     return nz
 
 
-def _term_axis(num, fx, fy, fz, threshold, nz) -> int:
+def _factor_limit(ts: TermSum) -> int:
+    """Factors of the expansion are the integers below M^n."""
+    return (2 if ts.setting == BINARY else ts.D) ** ts.n
+
+
+def _term_axis(num, fx, fy, fz, threshold, nz, limit) -> int:
+    if not (0 <= fx < limit and 0 <= fy < limit and 0 <= fz < limit):
+        raise ValueError(
+            f"term {(num, fx, fy, fz)} has a factor outside range({limit}):"
+            " it is not a term of the expansion"
+        )
     if nz is None:
         mx, my, mz = fx.bit_count(), fy.bit_count(), fz.bit_count()
     else:
@@ -263,9 +275,10 @@ def decompose(ts: TermSum) -> SliceDecomposition:
     at most n resp. 2n."""
     threshold = _threshold(ts.setting, ts.n)
     nz = _measure_table(ts.setting, ts.n, ts.D)
+    limit = _factor_limit(ts)
     groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for num, fx, fy, fz in ts.terms:
-        axis = _term_axis(num, fx, fy, fz, threshold, nz)
+        axis = _term_axis(num, fx, fy, fz, threshold, nz, limit)
         factors = (fx, fy, fz)
         a, b = _OTHER_AXES[axis]
         groups.setdefault((axis, factors[axis]), []).append((num, factors[a], factors[b]))
@@ -281,10 +294,11 @@ def count_slices(ts: TermSum) -> int:
     residuals (the grouping keys are streamed into a set)."""
     threshold = _threshold(ts.setting, ts.n)
     nz = _measure_table(ts.setting, ts.n, ts.D)
+    limit = _factor_limit(ts)
     keys = set()
     add = keys.add
     for num, fx, fy, fz in ts.terms:
-        axis = _term_axis(num, fx, fy, fz, threshold, nz)
+        axis = _term_axis(num, fx, fy, fz, threshold, nz, limit)
         add((axis, (fx, fy, fz)[axis]))
     return len(keys)
 
@@ -690,28 +704,39 @@ class DiagonalityReport:
 
 
 def check_diagonal(family: Family) -> DiagonalityReport:
-    """Evaluate T on all |F|^3 ordered member triples: the verdict is
-    positive iff T is nonzero exactly on the diagonal.  The witness is the
-    first violating ordered triple in lexicographic member order; diagonal
-    values are reported alongside (binary diagonal: +-2^(number of zero
+    """Is T, restricted to the members, nonzero exactly on the diagonal?
+
+    T(x, y, z) != 0 iff no coordinate has exactly two equal entries (two
+    ones in the binary setting), and that is the sunflower rule of
+    `setsys.completions`, on repeated members too.  So for each ordered pair
+    (x, y) of members one mask holds the z with T(x, y, z) != 0; any bit in
+    it is a violation, except z = x when x = y, since T(x, x, x) != 0.  The
+    rule is symmetric in x and y, so the pair (y, x) has the mask of (x, y)
+    and only pairs with x <= y are computed.  The witness is the first
+    violating ordered triple in lexicographic member order; diagonal values
+    are reported alongside (binary diagonal: +-2^(number of zero
     coordinates); mod-D diagonal: 2^n)."""
     members = family.members
     if family.setting == BINARY:
-        codes = [m.bits for m in members]
         n = family.n
-        ev = lambda x, y, z: _eval_binary_masks(x, y, z, n)
+        codes = [m.coords() for m in members]
+        diag = tuple(_eval_binary_masks(m.bits, m.bits, m.bits, n) for m in members)
     else:
         if family.D < 3:
             raise ValueError("the mod-D tensor needs D >= 3")
         codes = [m.coords for m in members]
-        ev = _eval_mod_tuples
-    diag = tuple(ev(c, c, c) for c in codes)
+        diag = tuple(_eval_mod_tuples(c, c, c) for c in codes)
+    masks = value_masks(codes, family.n)
+    full = (1 << len(codes)) - 1
     for i, x in enumerate(codes):
-        for j, y in enumerate(codes):
-            for k, z in enumerate(codes):
-                if (ev(x, y, z) != 0) != (i == j == k):
-                    witness = (members[i], members[j], members[k])
-                    return DiagonalityReport(False, witness, diag)
+        # a pair (i, j) with j < i repeats the empty mask of (j, i)
+        for j in range(i, len(codes)):
+            nonzero = completions(family.setting, masks, x, codes[j], full)
+            if i == j:
+                nonzero ^= 1 << i
+            if nonzero:
+                k = (nonzero & -nonzero).bit_length() - 1
+                return DiagonalityReport(False, (members[i], members[j], members[k]), diag)
     return DiagonalityReport(True, None, diag)
 
 

@@ -49,3 +49,13 @@ def test_certify_demo_writes_round_tripping_certificates(tmp_path):
         assert cert.to_json() == text
         assert cert.setting == MOD and cert.diagonal_ok
         assert cert.slice_count == decomposition_size(MOD, cert.n, cert.D)
+
+
+def test_capacity_report_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "scripts/capacity_report.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "exact count <= growth^n check, n<= 50, D<= 20: True"

@@ -1,18 +1,20 @@
 import itertools
 import math
 import time
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slicerank import bounds, cli
 from slicerank.bounds import mod_count_bound, subset_family_bound
 from slicerank.search import (
     CAPSET,
+    BoundViolationError,
     SearchConfig,
     SearchResult,
     _bad_triple,
     _Budget,
-    _can_join,
     _candidates,
     _extends_canonically,
     _Search,
@@ -227,6 +229,14 @@ def test_canonicity_matches_member_orbits(cfg):
     assert any(verdicts) and not all(verdicts)
 
 
+def _can_join(setting: str, members, c) -> bool:
+    """Can c join the free family `members` without a forbidden triple?"""
+    for a, b in itertools.combinations(members, 2):
+        if _bad_triple(setting, a, b, c):
+            return False
+    return True
+
+
 class _ReferenceSearch:
     """The search loop before bitsets: a `_can_join` pair scan per
     candidate and sorted index images for canonicity."""
@@ -346,6 +356,29 @@ def test_greedy_capset_mode():
     assert is_capset(fam)
 
 
+def _reference_greedy(cfg, seed):
+    """greedy_witness before alive masks: a `_can_join` pair scan per candidate."""
+    cands = _candidates(cfg)
+    Random(seed).shuffle(cands)
+    members: list = []
+    for c in cands:
+        if _can_join(cfg.setting, members, c):
+            members.append(c)
+    return _to_family(cfg, members)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [SearchConfig(BINARY, n) for n in range(7)]
+    + [SearchConfig(MOD, n, D=D) for n in range(4) for D in (3, 4, 5)]
+    + [SearchConfig(CAPSET, n) for n in range(5)],
+    ids=str,
+)
+def test_greedy_matches_reference_scan(cfg):
+    for seed in range(6):
+        assert greedy_witness(cfg, seed) == _reference_greedy(cfg, seed), seed
+
+
 # --- tensor powering ------------------------------------------------------------------
 
 
@@ -418,8 +451,37 @@ def test_validate_raises_on_violation():
     cfg = SearchConfig(MOD, 1, D=3)
     fam = max_free_family(cfg).witness
     fake = SearchResult(99, True, fam, 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(BoundViolationError):
         validate_against_bounds(fake, cfg)
+    cfg = SearchConfig(CAPSET, 1)
+    fake = SearchResult(4, True, max_free_family(cfg).witness, 1)
+    with pytest.raises(BoundViolationError, match="universe size"):
+        validate_against_bounds(fake, cfg)
+
+
+_BINARY_ARGV = ["--setting", "binary", "--n", "2"]
+_MOD_ARGV = ["--setting", "mod-d", "--n", "1", "--D", "3"]
+
+
+@pytest.mark.parametrize(
+    "bound_fn, value, cfg, argv, message",
+    [
+        ("subset_family_bound", 1, SearchConfig(BINARY, 2), _BINARY_ARGV, "family bound"),
+        ("mod_count_bound", 1, SearchConfig(MOD, 1, D=3), _MOD_ARGV, "slice-count"),
+        ("search_max_within_growth", False, SearchConfig(MOD, 1, D=3), _MOD_ARGV, "growth-rate"),
+    ],
+    ids=["family-bound", "slice-count", "growth"],
+)
+def test_bound_violation_is_named_and_exits_2(monkeypatch, capsys, bound_fn, value, cfg, argv,
+                                              message):
+    # a bound below the known maximum stands in for a search bug
+    monkeypatch.setattr(bounds, bound_fn, lambda *args: value)
+    with pytest.raises(BoundViolationError, match=message):
+        validate_against_bounds(max_free_family(cfg), cfg)
+    assert cli.main(["search"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: search exceeded") and message in captured.err
 
 
 def test_search_result_json_shape():

@@ -3,14 +3,17 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from family_strategies import families
 from slicerank.setsys import (
     BINARY,
+    CAPSET,
     MOD,
     DVector,
     EncodedFamily,
     Family,
     FamilyFormatError,
     SubsetVector,
+    completions,
     find_progression,
     find_sunflower,
     is_capset,
@@ -21,6 +24,7 @@ from slicerank.setsys import (
     pair_encode,
     parse_family,
     triple_is_sunflower,
+    value_masks,
 )
 
 
@@ -344,3 +348,92 @@ def test_extracted_layers_of_free_families_are_capsets(fam):
     supports = {tuple(1 if s == 3 else 0 for s in m) for m in enc.members}
     for x in supports:
         assert is_capset(layer_extract(enc, x))
+
+
+# --- the pair-mask primitive against the triple scans it replaced ------------------
+
+
+def _scan_sunflower(family):
+    """find_sunflower before the pair masks: every triple, combinations order."""
+    for triple in itertools.combinations(family.members, 3):
+        if triple_is_sunflower(*triple):
+            return triple
+    return None
+
+
+def _scan_progression(family):
+    """find_progression before the pair masks."""
+    for x, y, z in itertools.combinations(family.members, 3):
+        if all((a + b + c) % 3 == 0 for a, b, c in zip(x.coords, y.coords, z.coords)):
+            return (x, y, z)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_find_sunflower_matches_triple_scan(fam):
+    assert find_sunflower(fam) == _scan_sunflower(fam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(settings=(MOD,), Ds=(3,)))
+def test_find_progression_matches_triple_scan(fam):
+    assert find_progression(fam) == _scan_progression(fam)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        Family(BINARY, 3, None, ()),
+        Family(MOD, 2, 4, ()),
+        Family(BINARY, 0, None, (SubsetVector(0, 0),)),
+        Family(MOD, 0, 3, (DVector(0, 3, ()),)),
+        binary_family((1, 0), (0, 1)),
+        mod_family(3, (0, 1), (2, 2)),
+        mod_family(2, (0, 0), (0, 1), (1, 0), (1, 1)),  # D = 2: no sunflower exists
+        binary_family((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 1)),
+        # the only sunflower is the lex-largest triple
+        mod_family(3, (0, 0), (0, 1), (2, 0), (2, 1), (2, 2)),
+    ],
+)
+def test_find_sunflower_edge_families(fam):
+    assert find_sunflower(fam) == _scan_sunflower(fam)
+    if fam.setting == MOD and fam.D == 3:
+        assert find_progression(fam) == _scan_progression(fam)
+
+
+def test_planted_lex_largest_witness():
+    fam = mod_family(3, (0, 0), (0, 1), (2, 0), (2, 1), (2, 2))
+    assert [m.coords for m in find_sunflower(fam)] == [(2, 0), (2, 1), (2, 2)]
+    assert [m.coords for m in find_progression(fam)] == [(2, 0), (2, 1), (2, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(families())
+def test_completions_match_the_triple_predicates(fam):
+    # every pair's mask, against the spec predicates on each distinct third
+    codes = [m.coords() if fam.setting == BINARY else m.coords for m in fam]
+    masks = value_masks(codes, fam.n)
+    full = (1 << len(codes)) - 1
+    rules = [fam.setting] + ([CAPSET] if fam.setting == MOD and fam.D == 3 else [])
+    for rule in rules:
+        for i, j in itertools.permutations(range(len(codes)), 2):
+            got = completions(rule, masks, codes[i], codes[j], full) & ~(1 << i | 1 << j)
+            want = 0
+            for k, z in enumerate(codes):
+                if k in (i, j):
+                    continue
+                if rule == CAPSET:
+                    bad = all((a + b + c) % 3 == 0 for a, b, c in zip(codes[i], codes[j], z))
+                else:
+                    bad = triple_is_sunflower(fam.members[i], fam.members[j], fam.members[k])
+                want |= bad << k
+            assert got == want, (rule, i, j)
+
+
+def test_value_masks_index_members_by_digit():
+    masks = value_masks([(0, 2), (1, 2), (0, 0)], 2)
+    assert masks == [{0: 0b101, 1: 0b010}, {2: 0b011, 0: 0b100}]
+    assert value_masks([], 3) == [{}, {}, {}]
+    with pytest.raises(ValueError, match="rule"):
+        completions("weird", masks, (0, 2), (1, 2), 0b111)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +7,21 @@ from hypothesis import given, settings, strategies as st
 from slicerank import tensor
 from slicerank.bounds import constant_weight_bound, mod_count_bound, subset_family_bound
 from slicerank.exactnum import CycElem
-from slicerank.setsys import BINARY, MOD, DVector, Family, SubsetVector
+from family_strategies import families
+from slicerank.setsys import (
+    BINARY,
+    MOD,
+    DVector,
+    Family,
+    SubsetVector,
+    completions,
+    layer_split,
+    value_masks,
+)
 from slicerank.tensor import (
     BoundCertificate,
     CertificationError,
+    DiagonalityReport,
     NotSunflowerFree,
     ResourceLimitError,
     Slice,
@@ -331,6 +343,28 @@ def test_decompose_rejects_a_term_with_no_axis_within_threshold():
         count_slices(ts)
 
 
+@pytest.mark.parametrize(
+    "ts",
+    [
+        TermSum(MOD, 2, 3, 9, ((1, -1, 0, 0),)),
+        TermSum(MOD, 2, 3, 9, ((1, 9, 0, 0),)),
+        TermSum(MOD, 2, 3, 9, ((1, 0, 0, 9),)),
+        TermSum(BINARY, 3, None, 1, ((1, -1, 0, 0),)),
+        TermSum(BINARY, 3, None, 1, ((1, 0, 8, 0),)),
+    ],
+    ids=lambda ts: f"{ts.setting}-{ts.terms[0]}",
+)
+def test_decompose_rejects_a_factor_outside_the_domain(ts):
+    # before the range check, -1 read the measure of the last factor (mod-D)
+    # or the bit count of 1 (binary), 8 passed as a degree-1 binary factor,
+    # and 9 ended in an IndexError
+    term = re.escape(str(ts.terms[0]))
+    with pytest.raises(ValueError, match=term):
+        decompose(ts)
+    with pytest.raises(ValueError, match=term):
+        count_slices(ts)
+
+
 # --- the coordinate diagram against the flat per-point reference -------------------
 #
 # The reference is the per-point evaluation the diagram replaced: binary terms
@@ -638,6 +672,60 @@ def test_diagonality_of_random_free_layers():
                     members.append(v)
             fam = Family.of(members)
             assert check_diagonal(fam).ok
+
+
+def _cubic_check_diagonal(family):
+    """check_diagonal before the pair masks: T on all |F|^3 ordered triples."""
+    members = family.members
+    diag = tuple(tensor_value(m, m, m) for m in members)
+    for i, x in enumerate(members):
+        for j, y in enumerate(members):
+            for k, z in enumerate(members):
+                if (tensor_value(x, y, z) != 0) != (i == j == k):
+                    return DiagonalityReport(False, (x, y, z), diag)
+    return DiagonalityReport(True, None, diag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(Ds=(3, 4, 5)))
+def test_check_diagonal_matches_cubic_loop(fam):
+    assert check_diagonal(fam) == _cubic_check_diagonal(fam)
+    if fam.setting == BINARY:
+        for layer in layer_split(fam).values():
+            assert check_diagonal(layer) == _cubic_check_diagonal(layer)
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        Family(BINARY, 2, None, ()),
+        Family(MOD, 2, 3, ()),
+        Family(BINARY, 0, None, (SubsetVector(0, 0),)),
+        Family(MOD, 0, 4, (DVector(0, 4, ()),)),
+        # proper containments: T(x, x, y) != 0 for x inside y
+        Family.of([sv(0, 0, 1), sv(0, 1, 1), sv(1, 1, 1)]),
+        Family.of([sv(1, 0, 0), sv(0, 1, 0), sv(1, 1, 0)]),
+        Family.of([sv(0, 0), sv(1, 1)]),
+        Family.of([dv(3, 0, 1), dv(3, 1, 2), dv(3, 2, 0)]),
+        Family.of([dv(4, 0, 0), dv(4, 1, 1), dv(4, 0, 1)]),
+    ],
+)
+def test_check_diagonal_edge_families(fam):
+    assert check_diagonal(fam) == _cubic_check_diagonal(fam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(Ds=(3, 4, 5)))
+def test_completions_are_the_support_of_t(fam):
+    # the identity check_diagonal rests on, on repeated members too
+    members = fam.members
+    codes = [m.coords() if fam.setting == BINARY else m.coords for m in members]
+    masks = value_masks(codes, fam.n)
+    full = (1 << len(codes)) - 1
+    for i, x in enumerate(members):
+        for j, y in enumerate(members):
+            want = sum(1 << k for k, z in enumerate(members) if tensor_value(x, y, z) != 0)
+            assert completions(fam.setting, masks, codes[i], codes[j], full) == want
 
 
 # --- the constructive diagonal decomposition ------------------------------------------
