@@ -2,7 +2,8 @@
 """Tabulate branch-and-bound maxima of free families against the
 closed-form bounds.
 
-Example:
+The defaults reach binary n=6 and mod-4 n=3, both proved optimal in well
+under a second.  Example:
     python scripts/extremal_table.py --binary-max 4 --mod 3:2 --capset-max 2
 """
 
@@ -15,8 +16,8 @@ from slicerank.setsys import BINARY, MOD
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--binary-max", type=int, default=4, help="largest binary n")
-    parser.add_argument("--mod", default="3:2", help="D:n_max for the mod-D rows")
+    parser.add_argument("--binary-max", type=int, default=6, help="largest binary n")
+    parser.add_argument("--mod", default="4:3", help="D:n_max for the mod-D rows")
     parser.add_argument("--capset-max", type=int, default=2, help="largest capset n")
     parser.add_argument("--budget", type=int, default=2_000_000)
     args = parser.parse_args()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -195,6 +196,7 @@ def cmd_encode(args) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was, so every call can share it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicerank",

@@ -4,9 +4,21 @@ Branch-and-bound over the candidate vectors in lexicographic order.  A
 partial family is an increasing tuple of candidate indices, and the search
 visits partials in depth-first preorder, which is lexicographic order on the
 index tuples: the first family found at each size is the lexicographically
-least one, so the reported witness is the least maximum family.  A branch is
-cut when even taking every remaining candidate cannot reach the best size
-found.
+least one, so the reported witness is the least maximum family.
+
+Russian doll levels (Verfaillie, Lemaitre and Schiex, AAAI 1996): the
+search solves dimensions k = 0, 1, ..., n in turn.  Level k runs over the
+first M^k candidates, the vectors whose leading n - k coordinates are 0,
+and starts from an empty best family, so it finds the least maximum family
+of its own dimension.  Its maximum m(k) bounds level k + 1 through slices:
+fixing coordinate j to value v leaves a free family of dimension k, so a
+node whose pool P (its members and the candidates still open to it)
+satisfies sum_v min(m(k), |P & S_jv|) <= |best| for some coordinate j, with
+S_jv the candidates whose coordinate j is v, cannot beat the best family
+and is cut.  |P| <= |best| is the plain size cut.  Both are retested at
+every sibling, and neither drops a branch that could beat the best.  One
+node budget and one deadline cover all levels, and `nodes` counts every
+level.
 
 Sets of candidates are Python ints used as bitmasks.  Each node carries its
 alive mask: the candidates above its largest member that can still join it.
@@ -14,29 +26,31 @@ Admitting a candidate is one bit test.  Adding candidate b removes from the
 child's mask, for each member a, the kill mask of the pair: the candidates
 c > b for which (a, b, c) is a forbidden triple, one `setsys.completions`
 call over the candidates' value masks.  Kill masks are computed on first
-use and cached, at most C(N, 2) of them for N candidates.
+use and cached, at most C(N, 2) of them for N candidates, and shared by the
+levels.
 
-Symmetry reduction keeps only partial families that are lexicographically
-least in their orbit under coordinate permutations (composed with
-per-coordinate alphabet permutations in the mod-D and capset settings,
-which preserve the respective predicates).  Each symmetry is stored once,
-as the permutation it induces on candidate indices; since candidate order
-is lexicographic order, comparing sorted index images is comparing sorted
-member images.  The search keeps, for every symmetry, the mask of the
-current partial's image.  Of two index sets of equal size, the one holding
-the lowest bit of their symmetric difference has the lex-smaller sorted
-tuple, so an extension is rejected when some image holds that bit.  Every
-prefix of a lex-least family is lex-least in its own orbit, so pruning
-non-canonical prefixes never loses the optimum.
+Symmetry reduction is lex-leader pruning over a generating set (Crawford,
+Ginsberg, Luks and Roy, KR 1996): a partial family is kept only if no
+generator maps it to a lex-smaller family.  The generators are the adjacent
+coordinate swaps and, in the mod-D and capset settings, the adjacent value
+swaps at one coordinate, which preserve the respective predicates.  Each is
+stored as the permutation it induces on candidate indices; since candidate
+order is lexicographic order, comparing sorted index images is comparing
+sorted member images.  The search keeps, for every generator, the mask of
+the current partial's image.  Of two index sets of equal size, the one
+holding the lowest bit of their symmetric difference has the lex-smaller
+sorted tuple, so an extension is rejected when some image holds that bit.
+If a symmetry g maps a prefix of the lex-least maximum family F to a
+lex-smaller set, it maps F to a lex-smaller maximum family, so testing any
+set of symmetries never loses the optimum.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from random import Random
 
 from . import bounds
@@ -52,7 +66,7 @@ from .setsys import (
 )
 from .tensor import ResourceLimitError
 
-_MAX_SYMMETRY_TABLE = 2**26  # entries of two bytes each: 128 MiB
+_MAX_SYMMETRIC_CANDIDATES = 2**16  # the symmetry table's entries are two bytes
 
 
 @dataclass(frozen=True)
@@ -119,43 +133,30 @@ def _bad_triple(cfg_setting: str, x, y, z) -> bool:
     return True
 
 
-def _symmetry_group(cfg: SearchConfig, cands) -> list[array]:
-    """All symmetries preserving the predicate, each as the permutation of
-    candidate indices it induces: coordinate permutations, composed with
-    per-coordinate alphabet permutations outside the binary setting (for
-    capsets every permutation of F_3 is affine, so all are
-    progression-safe).  The table holds |G| * len(cands) entries."""
+def _symmetry_generators(cfg: SearchConfig) -> list[array]:
+    """The n - 1 + n(M - 1) generators as permutations of candidate indices:
+    coordinate swaps (i, i+1) and, outside the binary setting, value swaps
+    (a, a+1) at one coordinate (every permutation of F_3 is affine)."""
     q, n = cfg.alphabet, cfg.n
-    if cfg.setting == BINARY:
-        value_perms = [tuple(range(q))]
-    else:
-        value_perms = list(itertools.permutations(range(q)))
-    entries = math.factorial(n) * len(value_perms) ** n * len(cands)
-    if entries > _MAX_SYMMETRY_TABLE:
-        raise ResourceLimitError(
-            f"the symmetry table would hold {entries} entries, over {_MAX_SYMMETRY_TABLE};"
-            " search without symmetry"
-        )
-    weights = [q ** (n - 1 - i) for i in range(n)]
-    # the image of c has coordinate i equal to vmaps[i][c[p[i]]], so source
-    # coordinate p[i] adds vmaps[i][v] * weights[i] to its index
-    columns = [[[vp[v] * w for v in range(q)] for vp in value_perms] for w in weights]
-    group = []
-    for p in itertools.permutations(range(n)):
-        for chosen in itertools.product(*columns):
-            cols = [None] * n
-            for i in range(n):
-                cols[p[i]] = chosen[i]
-            images = [0]
-            for col in cols:  # in candidate (lex) order
-                images = [x + c for x in images for c in col]
-            group.append(array("H", images))
-    return group
+    cands = _candidates(cfg)
+    w = [q ** (n - 1 - i) for i in range(n)]  # candidate index = sum c[i] * w[i]
+    gens = [
+        array("H", [x + (c[i + 1] - c[i]) * (w[i] - w[i + 1]) for x, c in enumerate(cands)])
+        for i in range(n - 1)
+    ]
+    if cfg.setting != BINARY:
+        gens += [
+            array("H", [x + ((c[i] == a) - (c[i] == a + 1)) * w[i] for x, c in enumerate(cands)])
+            for i in range(n)
+            for a in range(q - 1)
+        ]
+    return gens
 
 
 def _extends_canonically(images: list, group, q: int, i: int) -> bool:
-    """Is the partial with mask q, extended by candidate i, lex-least in its
-    orbit?  images[g] is the mask of group[g] applied to the partial."""
+    """Is the partial with mask q, extended by candidate i, lex-least among
+    its images under `group`?  images[g] is the mask of group[g] applied to
+    the partial."""
     q |= 1 << i
     for x, perm in zip(images, group):
         x |= 1 << perm[i]
@@ -174,18 +175,29 @@ class BoundViolationError(RuntimeError):
 
 
 class _Search:
-    def __init__(self, cfg: SearchConfig, cands, group):
+    """One search's nodes, deadline and kill masks, shared by its levels."""
+
+    def __init__(self, cfg: SearchConfig, cands):
         self.cfg = cfg
         self.cands = cands
-        self.group = group
-        self.images = [0] * len(group) if group is not None else None
         self.masks = value_masks(cands, cfg.n)
         self.kills: dict[int, int] = {}
         self.nodes = 0
-        self.best: tuple = ()
         self.deadline = None
         if cfg.time_budget is not None:
             self.deadline = time.monotonic() + cfg.time_budget
+
+    def level(self, k: int, sub_max: int, group) -> None:
+        """Leave in `best` the least maximum family of dimension k, given
+        m(k - 1) = `sub_max` and the level's generators (or None)."""
+        self.best: tuple = ()
+        self.sub_max = sub_max
+        self.group = group
+        self.images = [0] * len(group) if group is not None else None
+        # one list per coordinate j of the level: the masks S_jv over the values v
+        self.slices = [list(col.values()) for col in self.masks[self.cfg.n - k:]]
+        self._visit(())
+        self.run((), 0, (1 << self.cfg.alphabet**k) - 1)
 
     def _visit(self, partial: tuple):
         self.nodes += 1
@@ -215,19 +227,29 @@ class _Search:
         for g, perm in enumerate(self.group):
             images[g] ^= 1 << perm[i]
 
+    def _beaten(self, pool: int) -> bool:
+        """Does the size cut or a slice bound show that no free family within
+        `pool` beats the best one?"""
+        size, m = len(self.best), self.sub_max
+        if pool.bit_count() <= size:
+            return True
+        for col in self.slices:
+            if sum([min(m, (pool & s).bit_count()) for s in col]) <= size:
+                return True
+        return False
+
     def run(self, partial: tuple, q: int, alive: int) -> None:
         """Extend `partial` (mask q) by each candidate of `alive`, the
         candidates above its last member that can join it, in increasing
-        order.  The cut only tightens as i grows, so testing it at alive
-        candidates alone stops where a scan of every index would."""
-        total, group = len(self.cands), self.group
+        order, retesting the cut as `rest` shrinks and `best` grows."""
+        group = self.group
         rest = alive
         while rest:
+            if self._beaten(q | rest):
+                break
             low = rest & -rest
             rest ^= low
             i = low.bit_length() - 1
-            if len(partial) + (total - i) < len(self.best):
-                break  # strict: ties are explored only because `nodes` is output
             if group is not None and not _extends_canonically(self.images, group, q, i):
                 continue
             dead = 0
@@ -252,20 +274,33 @@ def _to_family(cfg: SearchConfig, members) -> Family:
 
 def max_free_family(cfg: SearchConfig) -> SearchResult:
     """Size of the largest free family for the configured predicate, by
-    exhaustive branch-and-bound; the witness is the lexicographically least
-    maximum family.  If a budget runs out the best family found so far is
-    returned with the optimality flag off."""
+    exhaustive branch-and-bound over the dimensions 0, 1, ..., n in turn;
+    the witness is the lexicographically least maximum family.  If a budget
+    runs out the largest family found at any level is returned (ties going
+    to the higher level) with the optimality flag off."""
+    if cfg.symmetry and cfg.alphabet**cfg.n > _MAX_SYMMETRIC_CANDIDATES:
+        raise ResourceLimitError(
+            f"a symmetric search over {cfg.alphabet**cfg.n} candidates would overflow the"
+            f" symmetry table's indices (at most {_MAX_SYMMETRIC_CANDIDATES});"
+            " search without symmetry"
+        )
     cands = _candidates(cfg)
-    group = _symmetry_group(cfg, cands) if cfg.symmetry else None
-    search = _Search(cfg, cands, group)
+    search = _Search(cfg, cands)
+    best: tuple = ()
     complete = True
     try:
-        search._visit(())
-        search.run((), 0, (1 << len(cands)) - 1)
+        for k in range(cfg.n + 1):
+            # no seeding from level k - 1: a tie would keep its witness
+            group = _symmetry_generators(replace(cfg, n=k)) if cfg.symmetry else None
+            search.level(k, len(best), group)
+            best = search.best
     except _Budget:
         complete = False
-    best = [cands[i] for i in search.best]
-    return SearchResult(len(best), complete, _to_family(cfg, best), search.nodes)
+        if len(search.best) >= len(best):
+            best = search.best
+    # level-k indices name top-level candidates with n - k leading zeros
+    members = [cands[i] for i in best]
+    return SearchResult(len(members), complete, _to_family(cfg, members), search.nodes)
 
 
 def brute_force_max(cfg: SearchConfig) -> int:

@@ -22,13 +22,25 @@ def test_extremal_table_rows():
     rows = [line.split() for line in proc.stdout.splitlines()]
     assert rows == [
         ["setting", "n", "max", "optimal", "nodes", "bound"],
-        ["binary", "1", "2", "True", "3", "6"],
-        ["binary", "2", "3", "True", "7", "9"],
-        ["binary", "3", "5", "True", "17", "48"],
-        ["mod-3", "1", "2", "True", "3", "3"],
-        ["capset", "1", "2", "True", "3", "3"],
-        ["capset", "2", "4", "True", "9", "9"],
+        ["binary", "1", "2", "True", "5", "6"],
+        ["binary", "2", "3", "True", "9", "9"],
+        ["binary", "3", "5", "True", "20", "48"],
+        ["mod-3", "1", "2", "True", "5", "3"],
+        ["capset", "1", "2", "True", "5", "3"],
+        ["capset", "2", "4", "True", "14", "9"],
     ]
+
+
+def test_extremal_table_defaults_prove_the_largest_rows():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "scripts/extremal_table.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = {tuple(line.split()[:2]): line.split()[2:4] for line in proc.stdout.splitlines()}
+    assert rows[("binary", "6")] == ["19", "True"]
+    assert rows[("mod-4", "3")] == ["12", "True"]
 
 
 def test_certify_demo_writes_round_tripping_certificates(tmp_path):

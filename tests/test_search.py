@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from array import array
 from random import Random
 
 import pytest
@@ -18,7 +19,7 @@ from slicerank.search import (
     _candidates,
     _extends_canonically,
     _Search,
-    _symmetry_group,
+    _symmetry_generators,
     _to_family,
     brute_force_max,
     greedy_witness,
@@ -98,12 +99,13 @@ def test_monotone_in_n():
 def test_symmetry_on_off_agree():
     for cfg_on, cfg_off in [
         (SearchConfig(BINARY, n), SearchConfig(BINARY, n, symmetry=False))
-        for n in (1, 2, 3, 4)
+        for n in (1, 2, 3, 4, 6)
     ] + [
         (SearchConfig(MOD, 2, D=3), SearchConfig(MOD, 2, D=3, symmetry=False)),
         (SearchConfig(CAPSET, 2), SearchConfig(CAPSET, 2, symmetry=False)),
     ]:
         on, off = max_free_family(cfg_on), max_free_family(cfg_off)
+        assert on.optimal and off.optimal
         assert on.max_size == off.max_size
         assert on.witness.members == off.witness.members
 
@@ -123,46 +125,56 @@ def test_time_budget_exhaustion():
 # --- the search contract: counts, witnesses and canonicity -----------------------
 
 
+_BINARY_6_WITNESS = (
+    "000000 000011 000111 011001 011010 011101 011110 011111 101001 101010"
+    " 101101 101110 101111 110001 110010 110101 110110 110111 111111"
+)
+
+
 @pytest.mark.parametrize(
     "cfg,max_size,optimal,nodes,witness",
     [
-        (SearchConfig(BINARY, 1), 2, True, 3, "0 1"),
-        (SearchConfig(BINARY, 2), 3, True, 7, "00 01 11"),
-        (SearchConfig(BINARY, 3), 5, True, 17, "000 011 101 110 111"),
-        (SearchConfig(BINARY, 4), 8, True, 64, "0000 0011 0101 0110 1011 1101 1110 1111"),
+        (SearchConfig(BINARY, 1), 2, True, 5, "0 1"),
+        (SearchConfig(BINARY, 2), 3, True, 9, "00 01 11"),
+        (SearchConfig(BINARY, 3), 5, True, 20, "000 011 101 110 111"),
+        (SearchConfig(BINARY, 4), 8, True, 46, "0000 0011 0101 0110 1011 1101 1110 1111"),
         (
-            SearchConfig(BINARY, 5), 12, True, 1038,
+            SearchConfig(BINARY, 5), 12, True, 191,
             "00000 00011 01101 01110 01111 10101 10110 10111 11001 11010 11011 11111",
         ),
         (SearchConfig(BINARY, 2, symmetry=False), 3, True, 9, "00 01 11"),
-        (SearchConfig(BINARY, 3, symmetry=False), 5, True, 41, "000 011 101 110 111"),
+        (SearchConfig(BINARY, 3, symmetry=False), 5, True, 21, "000 011 101 110 111"),
         (
-            SearchConfig(BINARY, 4, symmetry=False), 8, True, 586,
+            SearchConfig(BINARY, 4, symmetry=False), 8, True, 66,
             "0000 0011 0101 0110 1011 1101 1110 1111",
         ),
-        (SearchConfig(MOD, 2, D=3), 4, True, 9, "0,0 0,1 1,0 1,1"),
-        (SearchConfig(MOD, 2, D=4), 4, True, 10, "0,0 0,1 1,0 1,1"),
-        (SearchConfig(CAPSET, 2), 4, True, 9, "0,0 0,1 1,0 1,1"),
-        (SearchConfig(CAPSET, 2, symmetry=False), 4, True, 130, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(MOD, 2, D=3), 4, True, 14, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(MOD, 2, D=4), 4, True, 15, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(CAPSET, 2), 4, True, 14, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(CAPSET, 2, symmetry=False), 4, True, 41, "0,0 0,1 1,0 1,1"),
         (
-            SearchConfig(BINARY, 6, node_budget=300), 13, False, 301,
-            "000000 000001 000111 011011 011101 011111 101011 101101 101111"
-            " 110011 110101 110111 111111",
+            SearchConfig(BINARY, 6, node_budget=300), 15, False, 301,
+            "000000 000011 000101 000110 001011 001101 011011 011101 011110 101110"
+            " 110110 111011 111101 111110 111111",
         ),
         (
-            SearchConfig(BINARY, 5, symmetry=False), 12, True, 87255,
+            SearchConfig(BINARY, 5, symmetry=False), 12, True, 1331,
             "00000 00011 01101 01110 01111 10101 10110 10111 11001 11010 11011 11111",
         ),
         (
-            SearchConfig(CAPSET, 3, symmetry=False), 9, True, 193386,
+            SearchConfig(CAPSET, 3, symmetry=False), 9, True, 11760,
             "0,0,0 0,0,1 0,1,0 0,1,1 1,0,0 1,0,1 1,1,2 1,2,2 2,1,2",
         ),
         (
-            SearchConfig(BINARY, 6, node_budget=5000, symmetry=False), 13, False, 5001,
-            "000000 000001 000111 011011 011101 011111 101011 101101 101111"
-            " 110011 110101 110111 111111",
+            SearchConfig(BINARY, 6, node_budget=5000, symmetry=False), 19, False, 5001,
+            _BINARY_6_WITNESS,
         ),
-        (SearchConfig(MOD, 2, D=5, symmetry=False), 4, True, 4484, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(MOD, 2, D=5, symmetry=False), 4, True, 1545, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(BINARY, 6), 19, True, 2005, _BINARY_6_WITNESS),
+        (
+            SearchConfig(MOD, 3, D=4), 12, True, 1014,
+            "0,0,0 0,0,1 0,1,2 0,2,2 1,0,2 1,3,3 2,0,2 2,3,3 3,1,3 3,2,3 3,3,0 3,3,1",
+        ),
     ],
 )
 def test_search_results_are_pinned(cfg, max_size, optimal, nodes, witness):
@@ -197,6 +209,14 @@ def _reference_is_canonical(members: tuple, group) -> bool:
     return all(tuple(sorted(_reference_apply(s, m) for m in members)) >= members for s in group)
 
 
+def _reference_perms(cfg, cands):
+    """The full group of `_reference_group` as permutations of candidate
+    indices."""
+    index = {c: j for j, c in enumerate(cands)}
+    return [array("H", [index[_reference_apply(s, c)] for c in cands])
+            for s in _reference_group(cfg)]
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -204,16 +224,24 @@ def _reference_is_canonical(members: tuple, group) -> bool:
         SearchConfig(BINARY, 4),
         SearchConfig(MOD, 2, D=3),
         SearchConfig(CAPSET, 2),
+        SearchConfig(MOD, 2, D=4),
     ],
 )
 def test_canonicity_matches_member_orbits(cfg):
-    """The image-mask test accepts exactly the partials that are lex-least
-    in their orbit of member tuples."""
+    """The generators are symmetries, and the image-mask test over them
+    rejects only partials that are not lex-least in their orbit of member
+    tuples under the full group."""
     cands = _candidates(cfg)
-    group = _symmetry_group(cfg, cands)
+    group = _symmetry_generators(cfg)
     reference = _reference_group(cfg)
-    assert len(group) == len(reference)
-    verdicts = []
+    full = {tuple(perm) for perm in _reference_perms(cfg, cands)}
+    assert len(group) == cfg.n - 1 + (0 if cfg.setting == BINARY else cfg.n * (cfg.alphabet - 1))
+    for perm in group:
+        assert tuple(perm) in full
+        for x, y, z in itertools.combinations(range(len(cands)), 3):
+            if _bad_triple(cfg.setting, cands[x], cands[y], cands[z]):
+                assert _bad_triple(cfg.setting, cands[perm[x]], cands[perm[y]], cands[perm[z]])
+    rejected = 0
     for size in range(4):
         for partial in itertools.combinations(range(len(cands)), size):
             members = tuple(cands[i] for i in partial)
@@ -224,9 +252,10 @@ def test_canonicity_matches_member_orbits(cfg):
                 verdict = _extends_canonically(images, group, q, i)
             else:
                 verdict = True  # the root is never tested
-            assert verdict == _reference_is_canonical(members, reference), partial
-            verdicts.append(verdict)
-    assert any(verdicts) and not all(verdicts)
+            if _reference_is_canonical(members, reference):
+                assert verdict, partial
+            rejected += not verdict
+    assert rejected
 
 
 def _can_join(setting: str, members, c) -> bool:
@@ -279,7 +308,7 @@ class _ReferenceSearch:
 
 def _reference_search(cfg):
     cands = _candidates(cfg)
-    group = _symmetry_group(cfg, cands) if cfg.symmetry else None
+    group = _reference_perms(cfg, cands) if cfg.symmetry else None
     ref = _ReferenceSearch(cfg, cands, group)
     complete = True
     try:
@@ -296,13 +325,25 @@ def _reference_search(cfg):
     + [SearchConfig(CAPSET, n) for n in (2, 3)]
     + [SearchConfig(MOD, 2, D=D) for D in (3, 4, 5)]
     + [SearchConfig(BINARY, 6, node_budget=b) for b in (1, 5, 37, 300)]
-    + [SearchConfig(BINARY, 4, time_budget=0.0)],
+    + [SearchConfig(BINARY, 4, time_budget=0.0)]
+    + [SearchConfig(BINARY, 6, node_budget=b, symmetry=False) for b in (37, 5000)],
     ids=str,
 )
 def test_bitset_search_matches_reference_loop(cfg):
+    """Where the loop before bitsets, levels, the slice bound and generators
+    (the full group, a `_can_join` scan and the plain size cut) completes,
+    both give the same result; a budgeted search stops one node past its
+    budget with a free family within the proved bound."""
     result = max_free_family(cfg)
-    got = (result.max_size, result.optimal, result.nodes, result.witness)
-    assert got == _reference_search(cfg)
+    max_size, complete, _, witness = _reference_search(cfg)
+    if complete:
+        assert (result.max_size, result.optimal, result.witness) == (max_size, True, witness)
+        return
+    assert not result.optimal and len(result.witness) == result.max_size
+    if cfg.time_budget is None:
+        assert result.nodes == cfg.node_budget + 1
+    assert is_sunflower_free(result.witness)
+    validate_against_bounds(result, cfg)
 
 
 @pytest.mark.parametrize(
@@ -314,8 +355,8 @@ def test_bitset_search_matches_reference_loop(cfg):
 def test_kill_masks_match_triple_scan(cfg):
     cands = _candidates(cfg)
     total = len(cands)
-    search = _Search(cfg, cands, None)
-    search.run((), 0, (1 << total) - 1)  # caches the pairs the search uses
+    search = _Search(cfg, cands)
+    search.level(cfg.n, total, None)  # caches the pairs the search uses
     assert search.kills
     for a, b in itertools.combinations(range(total), 2):
         scan = sum(
@@ -327,11 +368,12 @@ def test_kill_masks_match_triple_scan(cfg):
 
 
 def test_symmetry_table_is_capped():
-    # binary n=9 would need 9! * 512 (about 186 M) table entries
+    # the table's two-byte entries index at most 2^16 candidates
     with pytest.raises(ResourceLimitError, match="symmetry table"):
-        max_free_family(SearchConfig(BINARY, 9))
-    result = max_free_family(SearchConfig(BINARY, 9, node_budget=3, symmetry=False))
-    assert result.nodes == 4 and not result.optimal
+        max_free_family(SearchConfig(BINARY, 17))
+    for n, symmetry in [(9, True), (9, False), (16, True)]:
+        result = max_free_family(SearchConfig(BINARY, n, node_budget=3, symmetry=symmetry))
+        assert result.nodes == 4 and not result.optimal
 
 
 # --- greedy -----------------------------------------------------------------------
