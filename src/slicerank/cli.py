@@ -5,7 +5,8 @@ Subcommands tie the library into reproducible pipelines:
 * ``detect``        freeness verdict for a family file (+ witness)
 * ``certify``       sunflower-free check, diagonality, verified slice count
 * ``bounds``        closed-form bound tables and the capacity summary
-* ``verify-tensor`` build the expansion, decompose, verify pointwise
+* ``verify-tensor`` build the expansion, decompose, check both against the
+                    product form (a failure names the first wrong point)
 * ``search``        branch-and-bound maximum free family
 * ``encode``        pair-encode a binary family and capset-check its layers
 

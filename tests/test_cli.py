@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from slicerank import tensor as tensor_mod
 from slicerank.cli import main
-from slicerank.tensor import BoundCertificate
+from slicerank.tensor import BoundCertificate, decompose
+from test_tensor import _drop_last_residual_term, _first_mismatch
 
 
 @pytest.fixture
@@ -124,6 +126,37 @@ def test_verify_tensor_binary(capsys):
     code, out, _ = run(capsys, "verify-tensor", "--setting", "binary", "--n", "3")
     assert code == 0
     assert "expansion_ok: true" in out and "decomposition_ok: true" in out
+
+
+@pytest.mark.parametrize(
+    "argv,terms,slices",
+    [
+        (["--setting", "binary", "--n", "5"], 1024, "18 (closed-form bound 18)"),
+        (["--setting", "mod-d", "--n", "3", "--D", "4"], 1000, "75 (closed-form bound 111)"),
+    ],
+)
+def test_verify_tensor_exhaustive_admissions(capsys, argv, terms, slices):
+    # decided by the product diagram alone: no point is scanned, so the
+    # caps never apply
+    code, out, err = run(capsys, "verify-tensor", *argv)
+    assert (code, err) == (0, "")
+    assert out == (f"terms: {terms}\nslices: {slices}\n"
+                   "expansion_ok: true\ndecomposition_ok: true\n")
+
+
+def test_verify_tensor_reports_the_first_mismatch(capsys, monkeypatch):
+    broken = []
+
+    def drop_a_term(ts):
+        broken.append(_drop_last_residual_term(decompose(ts)))
+        return broken[-1]
+
+    monkeypatch.setattr(tensor_mod, "decompose", drop_a_term)
+    # the dropped term -x_1 x_2 y_3 is missing only where x_1 = x_2 = y_3 = 1
+    code, out, _ = run(capsys, "verify-tensor", "--setting", "binary", "--n", "3")
+    assert code == 1
+    assert "expansion_ok: true\ndecomposition_ok: false\n" in out
+    assert out.endswith(f"mismatch at: {_first_mismatch(broken[0])}\n")
 
 
 def test_verify_tensor_mod_sampled(capsys):

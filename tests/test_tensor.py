@@ -322,10 +322,28 @@ def test_verify_witness_is_lex_least():
             assert verify(broken) == (False, witness)
 
 
+def _drop_last_residual_term(dec):
+    last = dec.slices[-1]
+    return SliceDecomposition(
+        dec.setting, dec.n, dec.D, dec.denominator,
+        dec.slices[:-1] + (Slice(last.axis, last.factor, last.residual[:-1]),),
+    )
+
+
 def test_verify_exhaustive_resource_guard():
+    # the caps bound the pointwise scan, which only a sum that is not the
+    # product form gets
     dec = decompose(expand_tensor(BINARY, 4))
+    assert verify_decomposition(dec, point_cap=10, work_cap=10) == (True, None)
+    broken = _drop_last_residual_term(dec)
     with pytest.raises(ResourceLimitError):
-        verify_decomposition(dec, point_cap=10)
+        verify_decomposition(broken, point_cap=10)
+    # 2^12 points times the diagram's edges
+    edges = sum(len(node) for level in tensor._diagram(tensor._terms(broken), 4, 2)[1]
+                for node in level)
+    with pytest.raises(ResourceLimitError):
+        verify_decomposition(broken, work_cap=2**12 * edges - 1)
+    assert verify_decomposition(broken, work_cap=2**12 * edges) == (False, _first_mismatch(broken))
 
 
 def test_count_slices_matches_decompose():
@@ -447,12 +465,10 @@ def _ref_ok(obj, value, x, y, z):
     return CycElem.from_power_vector(obj.D, value) == CycElem.from_int(obj.D, target)
 
 
-def _diagram_values(obj):
+def _diagram_values(obj, pts):
     M = 2 if obj.setting == BINARY else obj.D
-    diagram = tensor._diagram(tensor._terms(obj), obj.n, M)
-    if obj.setting == BINARY:
-        return tensor._binary_evaluator(diagram, obj.n)
-    return tensor._mod_evaluator(diagram, obj.n, obj.D)
+    value = tensor._evaluator(obj, tensor._diagram(tensor._terms(obj), obj.n, M))
+    return lambda ix, iy, iz: value(pts[ix], pts[iy], pts[iz])
 
 
 def _check_against_reference(ts, dec, samples=0, seed=0):
@@ -462,7 +478,7 @@ def _check_against_reference(ts, dec, samples=0, seed=0):
     M = 2 if ts.setting == BINARY else ts.D
     pts = list(itertools.product(range(M), repeat=ts.n))
     ref = _ref_values(ts, pts, pts, pts)
-    new = [_diagram_values(obj) for obj in (ts, dec)]
+    new = [_diagram_values(obj, pts) for obj in (ts, dec)]
     witness = None
     for ix, iy, iz in itertools.product(range(len(pts)), repeat=3):
         want = ref(ix, iy, iz)
@@ -547,7 +563,7 @@ def test_diagram_rejects_factors_outside_the_domain():
 @pytest.mark.parametrize(
     "setting,n,D",
     [(BINARY, n, None) for n in range(1, 9)]
-    + [(MOD, n, D) for D in (3, 4, 5) for n in range(0, 5)],
+    + [(MOD, n, D) for D in (3, 4, 5, 6) for n in range(0, 5)],
 )
 def test_expansion_diagram_has_one_node_per_level(setting, n, D):
     M = 2 if D is None else D
@@ -557,7 +573,49 @@ def test_expansion_diagram_has_one_node_per_level(setting, n, D):
     assert [len(level) for level in levels] == [1] * n
     assert [len(level[0]) for level in levels] == [width] * n
     assert coef != 0
-    assert tensor._diagram(tensor._terms(decompose(ts)), n, M) == diagram
+    assert tensor._is_product(ts, diagram)
+    dec = decompose(ts)
+    assert tensor._diagram(tensor._terms(dec), n, M) == diagram
+    assert tensor._is_product(dec, diagram)
+
+
+def _doubled(ts):
+    return TermSum(ts.setting, ts.n, ts.D, ts.denominator,
+                   tuple((2 * num, *f) for num, *f in ts.terms))
+
+
+def _over_D(ts):
+    return TermSum(ts.setting, ts.n, ts.D, ts.denominator * ts.D, ts.terms)
+
+
+def _cancelled(ts):
+    return TermSum(ts.setting, ts.n, ts.D, ts.denominator,
+                   ts.terms + tuple((-num, *f) for num, *f in ts.terms))
+
+
+@pytest.mark.parametrize(
+    "setting,n,D,corrupt",
+    [(BINARY, 3, None, _doubled), (MOD, 2, 3, _doubled), (MOD, 2, 4, _over_D),
+     (MOD, 1, 5, _over_D), (BINARY, 3, None, _cancelled), (MOD, 2, 4, _cancelled)],
+    ids=lambda v: getattr(v, "__name__", None),
+)
+def test_is_product_rejects_a_scaled_sum(setting, n, D, corrupt):
+    # each sum is wrong at the first point already, T(0, 0, 0) = 2^n
+    broken = corrupt(expand_tensor(setting, n, D))
+    M = 2 if D is None else D
+    assert not tensor._is_product(broken, tensor._diagram(broken.terms, n, M))
+    first = ((0,) * n,) * 3
+    assert _first_mismatch(broken) == first
+    assert verify_expansion(broken) == (False, first)
+
+
+@pytest.mark.parametrize("setting,n,D", [(BINARY, 1, None), (BINARY, 3, None),
+                                         (MOD, 1, 3), (MOD, 2, 4)])
+def test_is_product_rejects_a_dropped_residual_term(setting, n, D):
+    broken = _drop_last_residual_term(decompose(expand_tensor(setting, n, D)))
+    M = 2 if D is None else D
+    assert not tensor._is_product(broken, tensor._diagram(tensor._terms(broken), n, M))
+    assert verify_decomposition(broken) == (False, _first_mismatch(broken))
 
 
 def test_value_at_accepts_vectors():
@@ -794,9 +852,23 @@ def test_certify_rejects_slice_count_below_family_size(monkeypatch):
 
 
 def test_failed_slice_verification_is_a_certification_error(monkeypatch):
-    monkeypatch.setattr(tensor, "verify_decomposition", lambda dec, **kw: (False, "w"))
+    monkeypatch.setattr(tensor, "_is_product", lambda obj, diagram: False)
     with pytest.raises(CertificationError):
         tensor._verified_slice_count.__wrapped__(BINARY, 1, None)
+
+
+def test_certify_checks_the_slice_count_without_sampling(monkeypatch):
+    # the slice count is checked by the product diagram, which needs no
+    # point, sampled or not
+    def no_sampling(*args):
+        raise AssertionError("sampled a point")
+
+    monkeypatch.setattr(tensor, "_sampled_tuples", no_sampling)
+    tensor._verified_slice_count.cache_clear()
+    members = [SubsetVector.from_support(6, s) for s in ([1, 2], [1, 3], [2, 3], [1, 2, 3, 4])]
+    cert = certify_family(Family.of(members))
+    assert cert.diagonal_ok
+    assert cert.slice_count == 2 * decomposition_size(BINARY, 6)
 
 
 def test_certificate_json_round_trip():
