@@ -6,7 +6,8 @@ Subcommands tie the library into reproducible pipelines:
 * ``certify``       sunflower-free check, diagonality, verified slice count
 * ``bounds``        closed-form bound tables and the capacity summary
 * ``verify-tensor`` build the expansion, decompose, check both against the
-                    product form (a failure names the first wrong point)
+                    product form (a failure names the first wrong point
+                    scanned, if any)
 * ``search``        branch-and-bound maximum free family
 * ``encode``        pair-encode a binary family and capset-check its layers
 
@@ -131,7 +132,10 @@ def cmd_verify_tensor(args) -> int:
     print(f"decomposition_ok: {str(ok_d).lower()}")
     if not ok_e or not ok_d:
         witness = wit_e or wit_d
-        print(f"mismatch at: {witness}")
+        if witness is None:
+            print("mismatch at: no sampled point (the sum is not the product form)")
+        else:
+            print(f"mismatch at: {witness}")
         return 1
     return 0
 

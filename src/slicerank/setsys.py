@@ -230,14 +230,27 @@ def parse_family(
 # pair masks: each triple predicate as a per-coordinate constraint on z
 
 
+# members per block in value_masks: a block's masks stay at most 128 bytes
+_MASK_BLOCK = 1024
+
+
 def value_masks(codes: Sequence[Sequence[int]], n: int) -> list[dict[int, int]]:
     """masks[i][v] is the bitmask of the indices j with codes[j][i] == v,
     for each value v that occurs at coordinate i."""
+    # OR-ing each member's bit into a mask as long as all of codes copies the
+    # mask per member, quadratic in len(codes); bits are set in masks local
+    # to a block of members instead, and each is shifted into place once
     masks: list[dict[int, int]] = [{} for _ in range(n)]
-    for j, code in enumerate(codes):
-        bit = 1 << j
-        for col, v in zip(masks, code):
-            col[v] = col.get(v, 0) | bit
+    for start in range(0, len(codes), _MASK_BLOCK):
+        block = [{} for _ in range(n)] if start else masks
+        for j, code in enumerate(codes[start:start + _MASK_BLOCK]):
+            bit = 1 << j
+            for col, v in zip(block, code):
+                col[v] = col.get(v, 0) | bit
+        if start:
+            for col, part in zip(masks, block):
+                for v, m in part.items():
+                    col[v] = col.get(v, 0) | m << start
     return masks
 
 

@@ -29,7 +29,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .bounds import binomial_tail, mod_count_bound, subset_family_bound
 from .exactnum import CycElem, CycFrac
@@ -113,8 +113,18 @@ def tensor_value(x, y, z) -> int:
 # place D^i <-> coordinate i+1)
 
 
+class _Evaluated:
+    """Keeps a term sum's evaluator once value_at has built it from the
+    diagram, as an attribute outside the dataclass fields, so equality and
+    hashing ignore it."""
+
+    @cached_property
+    def _evaluate(self):
+        return _evaluator(self, _diagram(self))
+
+
 @dataclass(frozen=True)
-class TermSum:
+class TermSum(_Evaluated):
     """T expanded into separable terms (num, fx, fy, fz) over a common
     denominator: 1 in the binary setting, D^n in the mod-D setting."""
 
@@ -210,7 +220,7 @@ class Slice:
 
 
 @dataclass(frozen=True)
-class SliceDecomposition:
+class SliceDecomposition(_Evaluated):
     setting: str
     n: int
     D: int | None
@@ -226,42 +236,29 @@ class SliceDecomposition:
         return _value_at(self, x, y, z)
 
 
-def _threshold(setting: str, n: int) -> int:
-    return n // 3 if setting == BINARY else (2 * n) // 3
+def _slicing(ts: TermSum):
+    """(threshold, limit, within): the measure threshold n//3 resp. 2n//3,
+    the factor bound M^n, and within[f] for f in range(M^n), whether the
+    measure of factor f (its degree resp. its number of nontrivial
+    characters, i.e. its nonzero base-M digits) is at most the threshold."""
+    n, M = ts.n, _alphabet(ts)
+    threshold = n // 3 if ts.setting == BINARY else (2 * n) // 3
+    measure = [0]
+    for _ in range(n):
+        measure = [m + (d > 0) for m in measure for d in range(M)]
+    return threshold, len(measure), [m <= threshold for m in measure]
 
 
-def _measure_table(setting: str, n: int, D: int | None):
-    if setting == BINARY:
-        return None
-    size = D**n
-    nz = [0] * size
-    for v in range(1, size):
-        nz[v] = nz[v // D] + (1 if v % D else 0)
-    return nz
-
-
-def _factor_limit(ts: TermSum) -> int:
-    """Factors of the expansion are the integers below M^n."""
-    return (2 if ts.setting == BINARY else ts.D) ** ts.n
-
-
-def _term_axis(num, fx, fy, fz, threshold, nz, limit) -> int:
+def _term_error(term, threshold: int, limit: int) -> ValueError:
+    """Why no slice takes the term: a factor outside range(limit), or no
+    factor within the threshold."""
+    num, fx, fy, fz = term
     if not (0 <= fx < limit and 0 <= fy < limit and 0 <= fz < limit):
-        raise ValueError(
+        return ValueError(
             f"term {(num, fx, fy, fz)} has a factor outside range({limit}):"
             " it is not a term of the expansion"
         )
-    if nz is None:
-        mx, my, mz = fx.bit_count(), fy.bit_count(), fz.bit_count()
-    else:
-        mx, my, mz = nz[fx], nz[fy], nz[fz]
-    if mx <= threshold:
-        return 0
-    if my <= threshold:
-        return 1
-    if mz <= threshold:
-        return 2
-    raise ValueError(
+    return ValueError(
         f"term {(num, fx, fy, fz)} has no factor within the threshold {threshold}:"
         " it is not a term of the expansion"
     )
@@ -272,34 +269,46 @@ def decompose(ts: TermSum) -> SliceDecomposition:
     x,y,z order whose factor measure (degree / nontrivial-character count)
     is at most n/3 resp. 2n/3 -- one always exists since the measures sum to
     at most n resp. 2n."""
-    threshold = _threshold(ts.setting, ts.n)
-    nz = _measure_table(ts.setting, ts.n, ts.D)
-    limit = _factor_limit(ts)
-    groups: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for num, fx, fy, fz in ts.terms:
-        axis = _term_axis(num, fx, fy, fz, threshold, nz, limit)
-        factors = (fx, fy, fz)
-        a, b = _OTHER_AXES[axis]
-        groups.setdefault((axis, factors[axis]), []).append((num, factors[a], factors[b]))
+    threshold, limit, within = _slicing(ts)
+    gx, gy, gz = groups = ({}, {}, {})
+    for term in ts.terms:
+        num, fx, fy, fz = term
+        if not (0 <= fx < limit and 0 <= fy < limit and 0 <= fz < limit):
+            raise _term_error(term, threshold, limit)
+        if within[fx]:
+            gx.setdefault(fx, []).append((num, fy, fz))
+        elif within[fy]:
+            gy.setdefault(fy, []).append((num, fx, fz))
+        elif within[fz]:
+            gz.setdefault(fz, []).append((num, fx, fy))
+        else:
+            raise _term_error(term, threshold, limit)
     slices = tuple(
         Slice(axis, factor, tuple(sorted(residual)))
-        for (axis, factor), residual in sorted(groups.items())
+        for axis, group in enumerate(groups)
+        for factor, residual in sorted(group.items())
     )
     return SliceDecomposition(ts.setting, ts.n, ts.D, ts.denominator, slices)
 
 
 def count_slices(ts: TermSum) -> int:
     """Number of slices decompose(ts) would produce, without building the
-    residuals (the grouping keys are streamed into a set)."""
-    threshold = _threshold(ts.setting, ts.n)
-    nz = _measure_table(ts.setting, ts.n, ts.D)
-    limit = _factor_limit(ts)
-    keys = set()
-    add = keys.add
-    for num, fx, fy, fz in ts.terms:
-        axis = _term_axis(num, fx, fy, fz, threshold, nz, limit)
-        add((axis, (fx, fy, fz)[axis]))
-    return len(keys)
+    residuals (the grouping keys are streamed into one set per axis)."""
+    threshold, limit, within = _slicing(ts)
+    kx, ky, kz = keys = (set(), set(), set())
+    for term in ts.terms:
+        num, fx, fy, fz = term
+        if not (0 <= fx < limit and 0 <= fy < limit and 0 <= fz < limit):
+            raise _term_error(term, threshold, limit)
+        if within[fx]:
+            kx.add(fx)
+        elif within[fy]:
+            ky.add(fy)
+        elif within[fz]:
+            kz.add(fz)
+        else:
+            raise _term_error(term, threshold, limit)
+    return sum(map(len, keys))
 
 
 def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
@@ -347,12 +356,12 @@ def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
 # verification
 #
 # The expansion and the decomposition are the same kind of object: a sum of
-# separable terms (num, fx, fy, fz), flattened lazily by _terms.  T is a
-# product over coordinates, so the sum is stored as a coordinate diagram in
-# the style of Bryant's decision diagrams: a level-k node is a tuple of edges
-# (label, coef, child), where label packs the coordinate-k digits of the
-# three factors and the child is a level-(k+1) node over the remaining
-# coordinates.  Nodes are built bottom-up and hash-consed with their
+# separable terms (num, fx, fy, fz), which a slice stores as its factor and
+# residual terms.  T is a product over coordinates, so the sum is stored as
+# a coordinate diagram in the style of Bryant's decision diagrams: a level-k
+# node is a tuple of edges (label, coef, child), where label packs the
+# coordinate-k digits of the three factors and the child is a level-(k+1)
+# node over the remaining coordinates.  Nodes are built bottom-up and hash-consed with their
 # coefficients divided by their gcd (signed by the first edge), so sub-sums
 # equal up to a scalar are stored once.
 #
@@ -360,10 +369,10 @@ def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
 # sum equals T iff its merged coefficient table is T's.  T's table merges to
 # a chain: one node per level, the same node at every level, which is the
 # diagram of T at n = 1.  _is_product compares a diagram with that chain and
-# so decides the identity exactly.  Only the single-node chain is compared,
-# so node numbering never matters: a table equal to T's merges to the chain,
-# and any other diagram is never taken as proof.  A pointwise scan of it
-# then names the witness.
+# so decides the identity exactly, in both modes.  Only the single-node chain
+# is compared, so node numbering never matters: a table equal to T's merges
+# to the chain, and any other diagram is never taken as proof.  A pointwise
+# scan of it then only names the witness.
 #
 # The scan evaluates the diagram bottom-up at each point.  Binary values are
 # integers: an edge counts iff its monomial divides the point, i.e. its
@@ -371,21 +380,6 @@ def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
 # power-basis bucket vectors, bucket r holding the numerator of zeta_D^r: an
 # edge adds its child's vector rotated by the character phase
 # label . (x_k, y_k, z_k) mod D.
-
-
-def _terms(obj):
-    """The flat (num, fx, fy, fz) terms of a TermSum or SliceDecomposition."""
-    if isinstance(obj, TermSum):
-        yield from obj.terms
-        return
-    for sl in obj.slices:
-        f = sl.factor
-        if sl.axis == 0:
-            yield from ((num, f, a, b) for num, a, b in sl.residual)
-        elif sl.axis == 1:
-            yield from ((num, a, f, b) for num, a, b in sl.residual)
-        else:
-            yield from ((num, a, b, f) for num, a, b in sl.residual)
 
 
 def _alphabet(obj) -> int:
@@ -416,9 +410,19 @@ def _intern(packed, W: int, nodes: list, index: dict):
     return g, idx
 
 
-def _diagram(terms, n: int, M: int):
-    """The hash-consed coordinate diagram of a term sum over an alphabet of
-    size M (2 in the binary setting, D in the mod-D setting).
+def _spread(n: int, M: int) -> list[int]:
+    """sx[f] for f in range(M^n): the base-M digits of f, digit i moved to
+    the place (M^3)^i."""
+    L = M**3
+    sx = [0]
+    for _ in range(n):
+        sx = [s * L + d for s in sx for d in range(M)]
+    return sx
+
+
+def _diagram(obj):
+    """The hash-consed coordinate diagram of a TermSum's or
+    SliceDecomposition's terms.
 
     Returns (coef, levels): levels[k] lists the level-k nodes, the root is
     levels[0][0], and the sum is coef times the root's value (coef alone at
@@ -426,23 +430,58 @@ def _diagram(terms, n: int, M: int):
     edges label + M^3 * (child + C * coef), where C is the number of nodes
     one level down (C = 1 and child = 0 at the last level).
     """
+    n, M = obj.n, _alphabet(obj)
     L = M**3
-    # an item is (coef * C + child, fx, fy, fz): the next level's edge to it
-    # packs into one int, and a term is an item as it stands (C = 1)
-    items = terms
+    outside = f"a term factor lies outside the domain of n={n}"
+    # the spread factors of a term add up to one int whose digit i in base
+    # L is the coordinate-i label dx + M dy + M^2 dz; reading a term splits
+    # off the last coordinate's label at once, and the rest is the prefix
+    # the last level groups by
+    sx = _spread(n, M)
+    sy = [M * s for s in sx]
+    sz = [M * M * s for s in sx]
+    P = L ** (n - 1) if n else 1
+    groups: dict[int, list[int]] = {}
+    try:
+        if isinstance(obj, TermSum):
+            for num, fx, fy, fz in obj.terms:
+                if fx | fy | fz < 0:
+                    raise ValueError(outside)
+                pack = sx[fx] + sy[fy] + sz[fz]
+                prefix = pack % P
+                group = groups.get(prefix)
+                if group is None:
+                    groups[prefix] = [pack // P + L * num]
+                else:
+                    group.append(pack // P + L * num)
+        else:
+            # a slice adds its factor's spread once, to each residual term
+            tables = (sx, sy, sz)
+            for sl in obj.slices:
+                a, b = _OTHER_AXES[sl.axis]
+                ta, tb = tables[a], tables[b]
+                if sl.factor < 0:
+                    raise ValueError(outside)
+                base = tables[sl.axis][sl.factor]
+                for num, fa, fb in sl.residual:
+                    if fa | fb < 0:
+                        raise ValueError(outside)
+                    pack = base + ta[fa] + tb[fb]
+                    prefix = pack % P
+                    group = groups.get(prefix)
+                    if group is None:
+                        groups[prefix] = [pack // P + L * num]
+                    else:
+                        group.append(pack // P + L * num)
+    except IndexError:
+        raise ValueError(outside) from None
+    if not n:
+        # the one empty prefix: its edges carry the constant terms
+        return sum(e // L for e in groups.get(0, ())), []
     C = 1
     levels = []
     for k in range(n - 1, -1, -1):
-        P = M**k
         W = L * C
-        groups: dict[tuple[int, int, int], list[int]] = {}
-        for cc, fx, fy, fz in items:
-            dx, fx = divmod(fx, P)
-            dy, fy = divmod(fy, P)
-            dz, fz = divmod(fz, P)
-            if not (0 <= dx < M and 0 <= dy < M and 0 <= dz < M):
-                raise ValueError(f"a term factor lies outside the domain of n={n}")
-            groups.setdefault((fx, fy, fz), []).append(dx + M * dy + M * M * dz + L * cc)
         nodes: list[tuple[int, ...]] = []
         index: dict[tuple[int, ...], int] = {}
         # a group's packed edges decide its (factor, node), and groups often
@@ -452,20 +491,29 @@ def _diagram(terms, n: int, M: int):
         entries: dict[tuple[int, ...], tuple[int, int] | None] = {}
         for prefix, packed in groups.items():
             packed = tuple(packed)
-            if packed not in entries:
-                entries[packed] = _intern(packed, W, nodes, index)
-            groups[prefix] = entries[packed]
+            try:
+                groups[prefix] = entries[packed]
+            except KeyError:
+                groups[prefix] = entries[packed] = _intern(packed, W, nodes, index)
         levels.append(nodes)
         C = len(nodes)
-        # consumed by the next level before C changes again
-        items = ((entry[0] * C + entry[1], *prefix) for prefix, entry in groups.items() if entry)
-    # what is left is the root's coefficient (the constant term at n = 0)
-    coef = 0
-    for c, fx, fy, fz in items:
-        if fx or fy or fz:
-            raise ValueError(f"a term factor lies outside the domain of n={n}")
-        coef += c
-    return coef, levels[::-1]
+        if k:
+            # the edge to each node, under the prefix's coordinate-(k-1)
+            # label, grouped by the coordinates below it
+            P //= L
+            nxt: dict[int, list[int]] = {}
+            for prefix, entry in groups.items():
+                if entry:
+                    edge = prefix // P + L * (entry[0] * C + entry[1])
+                    group = nxt.get(prefix % P)
+                    if group is None:
+                        nxt[prefix % P] = [edge]
+                    else:
+                        group.append(edge)
+            groups = nxt
+    # what is left is the root, under the empty prefix
+    entry = groups.get(0)
+    return (entry[0] if entry else 0), levels[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -473,21 +521,22 @@ def _one_coordinate(setting: str, D: int | None):
     """(coef, level, denominator) of T's diagram at n = 1, checked against
     the product form on all M^3 points."""
     ts = expand_tensor(setting, 1, D)
-    M = _alphabet(ts)
-    diagram = _diagram(ts.terms, 1, M)
-    if _witness(ts, diagram, _all_points(M, 1)) is not None:
+    diagram = _diagram(ts)
+    if _witness(ts, diagram, _all_points(_alphabet(ts), 1)) is not None:
         raise ArithmeticError(f"the {setting} expansion at n=1 is not the product form")
     coef, (level,) = diagram
     return coef, level, ts.denominator
 
 
 def _is_product(obj, diagram) -> bool:
-    """Is the term sum with this diagram equal to T?  Exactly when the
-    diagram is n copies of T's one-coordinate level under the root
-    coefficient coef^n, over the denominator (1 or D)^n."""
-    coef, level, denominator = _one_coordinate(obj.setting, obj.D)
+    """Is the term sum with this diagram equal to T?  Exactly when its
+    levels are n copies of T's one-coordinate level and its root coefficient
+    over obj.denominator is T's, c^n / d^n for the one-coordinate root
+    coefficient c and denominator d."""
+    c, level, d = _one_coordinate(obj.setting, obj.D)
+    coef, levels = diagram
     n = obj.n
-    return diagram == (coef**n, [level] * n) and obj.denominator == denominator**n
+    return levels == [level] * n and coef * d**n == c**n * obj.denominator
 
 
 def _evaluator(obj, diagram):
@@ -577,7 +626,7 @@ def _value_at(obj, x, y, z):
     vectors or coordinate tuples: int (binary) or Fraction (mod-D)."""
     M = _alphabet(obj)
     point = [_point(v, obj.n, M) for v in (x, y, z)]
-    value = _evaluator(obj, _diagram(_terms(obj), obj.n, M))(*point)
+    value = obj._evaluate(*point)
     if obj.setting == BINARY:
         return value
     frac = CycFrac.make(CycElem.from_power_vector(obj.D, value), obj.denominator).as_fraction()
@@ -632,7 +681,7 @@ def _verify(obj, mode, samples, seed, point_cap, work_cap):
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
     n, M = obj.n, _alphabet(obj)
-    diagram = _diagram(_terms(obj), n, M)
+    diagram = _diagram(obj)
     if _is_product(obj, diagram):
         return True, None
     if mode == "exhaustive":
@@ -646,8 +695,7 @@ def _verify(obj, mode, samples, seed, point_cap, work_cap):
         points = _all_points(M, n)
     else:
         points = zip(*_sampled_tuples(M, n, samples, seed))
-    witness = _witness(obj, diagram, points)
-    return witness is None, witness
+    return False, _witness(obj, diagram, points)
 
 
 def verify_expansion(
@@ -659,12 +707,12 @@ def verify_expansion(
     work_cap: int = DEFAULT_WORK_CAP,
 ):
     """Check that the expansion equals the product form.  Returns
-    (ok, witness-point-or-None).  A sum whose diagram is the product form's
-    passes at once, exactly.  Any other sum is scanned pointwise for its
-    witness, the first failing point: over the whole domain in exhaustive
-    mode, where the witness is the lexicographically least and the caps
-    bound the scan, or on seeded samples, which can all miss the failure
-    and then pass the sum."""
+    (ok, witness-point-or-None).  The verdict is exact in both modes: a sum
+    passes iff its diagram is the product form's.  Any other sum fails and
+    is scanned pointwise for its witness, the first failing point: over the
+    whole domain in exhaustive mode, where the witness is the
+    lexicographically least and the caps bound the scan, or on seeded
+    samples, which can all miss the failure and then leave it None."""
     return _verify(ts, mode, samples, seed, point_cap, work_cap)
 
 
@@ -857,7 +905,7 @@ def _verified_slice_count(setting: str, n: int, D: int | None) -> int:
     """Slice count of the expansion's decomposition, checked exactly once
     per (setting, n, D): the slices' diagram must be the product form's."""
     dec = decompose(expand_tensor(setting, n, D))
-    if not _is_product(dec, _diagram(_terms(dec), n, _alphabet(dec))):
+    if not _is_product(dec, _diagram(dec)):
         raise CertificationError("the decomposition does not sum to the product form")
     return dec.slice_count
 

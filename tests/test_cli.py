@@ -6,7 +6,7 @@ import pytest
 from slicerank import tensor as tensor_mod
 from slicerank.cli import main
 from slicerank.tensor import BoundCertificate, decompose
-from test_tensor import _drop_last_residual_term, _first_mismatch
+from test_tensor import _drop_last_residual_term, _first_mismatch, _wrong_at_all_ones
 
 
 @pytest.fixture
@@ -157,6 +157,16 @@ def test_verify_tensor_reports_the_first_mismatch(capsys, monkeypatch):
     assert code == 1
     assert "expansion_ok: true\ndecomposition_ok: false\n" in out
     assert out.endswith(f"mismatch at: {_first_mismatch(broken[0])}\n")
+
+
+def test_verify_tensor_fails_a_sum_no_sample_shows_wrong(capsys, monkeypatch):
+    # the slices are wrong only at the all-ones point, which the samples miss
+    monkeypatch.setattr(tensor_mod, "decompose", lambda ts: _wrong_at_all_ones(4)[1])
+    code, out, err = run(capsys, "verify-tensor", "--setting", "binary", "--n", "4",
+                         "--samples", "5")
+    assert (code, err) == (1, "")
+    assert out.endswith("expansion_ok: true\ndecomposition_ok: false\n"
+                        "mismatch at: no sampled point (the sum is not the product form)\n")
 
 
 def test_verify_tensor_mod_sampled(capsys):

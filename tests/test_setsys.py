@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from family_strategies import families
+from slicerank import setsys
 from slicerank.setsys import (
     BINARY,
     CAPSET,
@@ -429,6 +431,42 @@ def test_completions_match_the_triple_predicates(fam):
                     bad = triple_is_sunflower(fam.members[i], fam.members[j], fam.members[k])
                 want |= bad << k
             assert got == want, (rule, i, j)
+
+
+def _bit_by_bit_value_masks(codes, n):
+    """value_masks before the column lists: one bit OR-ed in per member."""
+    masks = [{} for _ in range(n)]
+    for j, code in enumerate(codes):
+        bit = 1 << j
+        for col, v in zip(masks, code):
+            col[v] = col.get(v, 0) | bit
+    return masks
+
+
+@st.composite
+def code_lists(draw):
+    n = draw(st.integers(0, 4))
+    D = draw(st.sampled_from([2, 3, 5, 257, 1000]))
+    code = st.lists(st.integers(0, D - 1), min_size=0, max_size=n + 1).map(tuple)
+    return draw(st.lists(code, max_size=40)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_lists(), st.sampled_from([1, 3, 8, 1024]))
+def test_value_masks_match_the_bit_by_bit_loop(case, block):
+    # ragged codes too: a code shorter or longer than n fills what it
+    # reaches; small blocks put the members in several
+    codes, n = case
+    with mock.patch.object(setsys, "_MASK_BLOCK", block):
+        got = value_masks(codes, n)
+    want = _bit_by_bit_value_masks(codes, n)
+    assert got == want
+    assert [list(col) for col in got] == [list(col) for col in want]
+
+
+def test_value_masks_on_many_members():
+    codes = [(j % 3, j // 3 % 300, 7) for j in range(2000)]
+    assert value_masks(codes, 3) == _bit_by_bit_value_masks(codes, 3)
 
 
 def test_value_masks_index_members_by_digit():

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -339,7 +340,7 @@ def test_verify_exhaustive_resource_guard():
     with pytest.raises(ResourceLimitError):
         verify_decomposition(broken, point_cap=10)
     # 2^12 points times the diagram's edges
-    edges = sum(len(node) for level in tensor._diagram(tensor._terms(broken), 4, 2)[1]
+    edges = sum(len(node) for level in tensor._diagram(broken)[1]
                 for node in level)
     with pytest.raises(ResourceLimitError):
         verify_decomposition(broken, work_cap=2**12 * edges - 1)
@@ -466,8 +467,7 @@ def _ref_ok(obj, value, x, y, z):
 
 
 def _diagram_values(obj, pts):
-    M = 2 if obj.setting == BINARY else obj.D
-    value = tensor._evaluator(obj, tensor._diagram(tensor._terms(obj), obj.n, M))
+    value = tensor._evaluator(obj, tensor._diagram(obj))
     return lambda ix, iy, iz: value(pts[ix], pts[iy], pts[iz])
 
 
@@ -492,7 +492,9 @@ def _check_against_reference(ts, dec, samples=0, seed=0):
         xs, ys, zs = tensor._sampled_tuples(M, ts.n, samples, seed)
         ref = _ref_values(ts, xs, ys, zs)
         bad = [i for i in range(samples) if not _ref_ok(ts, ref(i, i, i), xs[i], ys[i], zs[i])]
-        expected = (True, None) if not bad else (False, (xs[bad[0]], ys[bad[0]], zs[bad[0]]))
+        # the verdict is the exhaustive one; the samples only name the witness
+        first = (xs[bad[0]], ys[bad[0]], zs[bad[0]]) if bad else None
+        expected = (witness is None, first)
         kwargs = dict(mode="sampled", samples=samples, seed=seed)
         assert verify_expansion(ts, **kwargs) == expected
         assert verify_decomposition(dec, **kwargs) == expected
@@ -551,13 +553,13 @@ def test_diagram_matches_flat_reference_on_edge_tables(setting, n, D):
 
 def test_diagram_of_all_cancelling_terms_is_empty():
     ts = expand_tensor(MOD, 2, 3)
-    assert tensor._diagram(ts.terms + tuple((-t[0], *t[1:]) for t in ts.terms), 2, 3) == (0, [[], []])
+    assert tensor._diagram(_cancelled(ts)) == (0, [[], []])
 
 
 def test_diagram_rejects_factors_outside_the_domain():
     for terms, n in [(((1, 4, 0, 0),), 2), (((1, 0, 0, 1),), 0), (((1, -1, 0, 0),), 2)]:
         with pytest.raises(ValueError):
-            tensor._diagram(terms, n, 2)
+            tensor._diagram(TermSum(BINARY, n, None, 1, terms))
 
 
 @pytest.mark.parametrize(
@@ -566,16 +568,15 @@ def test_diagram_rejects_factors_outside_the_domain():
     + [(MOD, n, D) for D in (3, 4, 5, 6) for n in range(0, 5)],
 )
 def test_expansion_diagram_has_one_node_per_level(setting, n, D):
-    M = 2 if D is None else D
     ts = expand_tensor(setting, n, D)
-    coef, levels = diagram = tensor._diagram(tensor._terms(ts), n, M)
+    coef, levels = diagram = tensor._diagram(ts)
     width = 4 if D is None else 3 * (D - 1) + (D != 3)
     assert [len(level) for level in levels] == [1] * n
     assert [len(level[0]) for level in levels] == [width] * n
     assert coef != 0
     assert tensor._is_product(ts, diagram)
     dec = decompose(ts)
-    assert tensor._diagram(tensor._terms(dec), n, M) == diagram
+    assert tensor._diagram(dec) == diagram
     assert tensor._is_product(dec, diagram)
 
 
@@ -602,8 +603,7 @@ def _cancelled(ts):
 def test_is_product_rejects_a_scaled_sum(setting, n, D, corrupt):
     # each sum is wrong at the first point already, T(0, 0, 0) = 2^n
     broken = corrupt(expand_tensor(setting, n, D))
-    M = 2 if D is None else D
-    assert not tensor._is_product(broken, tensor._diagram(broken.terms, n, M))
+    assert not tensor._is_product(broken, tensor._diagram(broken))
     first = ((0,) * n,) * 3
     assert _first_mismatch(broken) == first
     assert verify_expansion(broken) == (False, first)
@@ -613,9 +613,255 @@ def test_is_product_rejects_a_scaled_sum(setting, n, D, corrupt):
                                          (MOD, 1, 3), (MOD, 2, 4)])
 def test_is_product_rejects_a_dropped_residual_term(setting, n, D):
     broken = _drop_last_residual_term(decompose(expand_tensor(setting, n, D)))
-    M = 2 if D is None else D
-    assert not tensor._is_product(broken, tensor._diagram(tensor._terms(broken), n, M))
+    assert not tensor._is_product(broken, tensor._diagram(broken))
     assert verify_decomposition(broken) == (False, _first_mismatch(broken))
+
+
+# --- the packed single-pass build against the term-by-term reference ----------------
+#
+# The references are the diagram build and the decomposition before terms were
+# read as packed ints: the diagram split each factor with divmod level by level
+# and grouped under (fx, fy, fz) tuples, and decompose chose each term's axis by
+# a call that range-checked and measured its three factors.  Node interning is
+# shared (tensor._intern).
+
+
+def _reference_terms(obj):
+    if isinstance(obj, TermSum):
+        yield from obj.terms
+        return
+    for sl in obj.slices:
+        f = sl.factor
+        if sl.axis == 0:
+            yield from ((num, f, a, b) for num, a, b in sl.residual)
+        elif sl.axis == 1:
+            yield from ((num, a, f, b) for num, a, b in sl.residual)
+        else:
+            yield from ((num, a, b, f) for num, a, b in sl.residual)
+
+
+def _reference_diagram(obj):
+    terms, n, M = _reference_terms(obj), obj.n, 2 if obj.setting == BINARY else obj.D
+    L = M**3
+    items = terms
+    C = 1
+    levels = []
+    for k in range(n - 1, -1, -1):
+        P = M**k
+        W = L * C
+        groups = {}
+        for cc, fx, fy, fz in items:
+            dx, fx = divmod(fx, P)
+            dy, fy = divmod(fy, P)
+            dz, fz = divmod(fz, P)
+            if not (0 <= dx < M and 0 <= dy < M and 0 <= dz < M):
+                raise ValueError(f"a term factor lies outside the domain of n={n}")
+            groups.setdefault((fx, fy, fz), []).append(dx + M * dy + M * M * dz + L * cc)
+        nodes = []
+        index = {}
+        entries = {}
+        for prefix, packed in groups.items():
+            packed = tuple(packed)
+            if packed not in entries:
+                entries[packed] = tensor._intern(packed, W, nodes, index)
+            groups[prefix] = entries[packed]
+        levels.append(nodes)
+        C = len(nodes)
+        items = ((entry[0] * C + entry[1], *prefix) for prefix, entry in groups.items() if entry)
+    coef = 0
+    for c, fx, fy, fz in items:
+        if fx or fy or fz:
+            raise ValueError(f"a term factor lies outside the domain of n={n}")
+        coef += c
+    return coef, levels[::-1]
+
+
+def _reference_term_axis(num, fx, fy, fz, threshold, nz, limit):
+    if not (0 <= fx < limit and 0 <= fy < limit and 0 <= fz < limit):
+        raise ValueError(
+            f"term {(num, fx, fy, fz)} has a factor outside range({limit}):"
+            " it is not a term of the expansion"
+        )
+    if nz is None:
+        mx, my, mz = fx.bit_count(), fy.bit_count(), fz.bit_count()
+    else:
+        mx, my, mz = nz[fx], nz[fy], nz[fz]
+    if mx <= threshold:
+        return 0
+    if my <= threshold:
+        return 1
+    if mz <= threshold:
+        return 2
+    raise ValueError(
+        f"term {(num, fx, fy, fz)} has no factor within the threshold {threshold}:"
+        " it is not a term of the expansion"
+    )
+
+
+def _reference_decompose(ts):
+    if ts.setting == BINARY:
+        threshold, nz, limit = ts.n // 3, None, 2**ts.n
+    else:
+        threshold, limit = (2 * ts.n) // 3, ts.D**ts.n
+        nz = [0] * limit
+        for v in range(1, limit):
+            nz[v] = nz[v // ts.D] + (1 if v % ts.D else 0)
+    groups = {}
+    for num, fx, fy, fz in ts.terms:
+        axis = _reference_term_axis(num, fx, fy, fz, threshold, nz, limit)
+        factors = (fx, fy, fz)
+        a, b = tensor._OTHER_AXES[axis]
+        groups.setdefault((axis, factors[axis]), []).append((num, factors[a], factors[b]))
+    slices = tuple(
+        Slice(axis, factor, tuple(sorted(residual)))
+        for (axis, factor), residual in sorted(groups.items())
+    )
+    return SliceDecomposition(ts.setting, ts.n, ts.D, ts.denominator, slices)
+
+
+def _outcome(fn, *args):
+    # the result, or the message of the ValueError it raised
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@st.composite
+def altered_expansions(draw):
+    # an expansion at n <= 3, shuffled, with terms duplicated, split in two,
+    # cancelled, and corrupted (a term that may fit no slice, or whose
+    # factor may leave the domain), and its terms cut into one-term slices
+    setting = draw(st.sampled_from([BINARY, MOD]))
+    D = None if setting == BINARY else draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(0, 3))
+    M = 2 if D is None else D
+    ts = expand_tensor(setting, n, D)
+    terms = list(ts.terms)
+    factor = st.integers(0, M**n - 1)
+    edits = st.tuples(st.sampled_from(["duplicate", "split", "cancel", "corrupt"]),
+                      st.integers(0, len(terms) - 1), st.integers(-3, 3))
+    for edit, i, c in draw(st.lists(edits, max_size=6)):
+        num, *factors = terms[i]
+        if edit == "duplicate":
+            terms.append(terms[i])
+        elif edit == "split":
+            terms[i] = (c, *factors)
+            terms.append((num - c, *factors))
+        elif edit == "cancel":
+            terms.append((-num, *factors))
+        else:
+            terms.append((c, draw(factor), draw(factor), draw(factor)))
+    if draw(st.integers(0, 3)) == 0:
+        # a factor outside range(M^n): negative or too large
+        bad = draw(st.sampled_from([-1, -(M**n) - 1, M**n, M ** (n + 1)]))
+        term = [1, 0, 0, 0]
+        term[draw(st.integers(1, 3))] = bad
+        terms.insert(draw(st.integers(0, len(terms))), tuple(term))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    rng.shuffle(terms)
+    ts = TermSum(setting, n, D, ts.denominator, tuple(terms))
+    return ts, _as_slices(ts, [rng.randrange(3) for _ in terms])
+
+
+@settings(max_examples=150, deadline=None)
+@given(altered_expansions())
+def test_packed_build_matches_the_reference(instance):
+    ts, slices = instance
+    dec = _outcome(decompose, ts)
+    assert dec == _outcome(_reference_decompose, ts)
+    assert _outcome(count_slices, ts) == (
+        dec if isinstance(dec, tuple) else dec.slice_count
+    )
+    for obj in (ts, slices) + ((dec,) if isinstance(dec, SliceDecomposition) else ()):
+        assert _outcome(tensor._diagram, obj) == _outcome(_reference_diagram, obj)
+
+
+@pytest.mark.parametrize(
+    "setting,n,D", [(BINARY, n, None) for n in range(0, 7)]
+    + [(MOD, n, D) for D in (3, 4, 5) for n in range(0, 4)],
+)
+def test_packed_build_matches_the_reference_on_expansions(setting, n, D):
+    ts = expand_tensor(setting, n, D)
+    dec = decompose(ts)
+    assert dec == _reference_decompose(ts)
+    for obj in (ts, dec):
+        assert tensor._diagram(obj) == _reference_diagram(obj)
+
+
+@pytest.mark.parametrize(
+    "setting,n,D,term",
+    [(BINARY, 3, None, (1, 7, 7, 7)), (BINARY, 3, None, (1, 0, 0, 8)),
+     (BINARY, 3, None, (1, 0, -1, 0)), (BINARY, 0, None, (2, 0, 0, 1)),
+     (MOD, 2, 3, (1, 8, 8, 8)), (MOD, 2, 3, (1, 0, 0, 9)), (MOD, 2, 3, (1, -1, 0, 0)),
+     (MOD, 2, 4, (1, 0, 16, 0)), (MOD, 2, 5, (1, 24, 24, 24)), (MOD, 0, 3, (1, 0, 0, -3))],
+)
+def test_bad_terms_raise_the_reference_messages(setting, n, D, term):
+    ts = TermSum(setting, n, D, 1 if D is None else D**n, ((2, 0, 0, 0), term))
+    want = _outcome(_reference_decompose, ts)
+    assert want[0] == "ValueError"
+    assert _outcome(decompose, ts) == want
+    assert _outcome(count_slices, ts) == want
+    # the diagram of the terms and of one-term slices on each axis
+    for obj in [ts] + [_as_slices(ts, [axis] * 2) for axis in range(3)]:
+        assert _outcome(tensor._diagram, obj) == _outcome(_reference_diagram, obj)
+
+
+def test_value_at_builds_the_diagram_once(monkeypatch):
+    built = []
+    diagram = tensor._diagram
+    monkeypatch.setattr(tensor, "_diagram", lambda obj: built.append(obj) or diagram(obj))
+    ts = expand_tensor(MOD, 2, 3)
+    dec = decompose(ts)
+    for obj in (ts, dec):
+        assert obj.value_at((0, 1), (1, 1), (2, 1)) == -2
+        assert obj.value_at((0, 1), (1, 1), (2, 2)) == 0
+    assert built == [ts, dec]
+    # the kept evaluator is no field: equality and hashing ignore it
+    fresh = expand_tensor(MOD, 2, 3)
+    assert ts == fresh and hash(ts) == hash(fresh)
+    assert dec == decompose(fresh) and hash(dec) == hash(decompose(fresh))
+
+
+def _wrong_at_all_ones(n):
+    # the binary expansion plus x_1..x_n y_1..y_n z_1..z_n, which is nonzero
+    # only where every coordinate is 1, as a term sum and as slices
+    ts = expand_tensor(BINARY, n)
+    full = 2**n - 1
+    dec = decompose(ts)
+    broken_slices = SliceDecomposition(
+        BINARY, n, None, 1, dec.slices + (Slice(0, full, ((1, full, full),)),)
+    )
+    return TermSum(BINARY, n, None, 1, ts.terms + ((1, full, full, full),)), broken_slices
+
+
+def test_sampled_verification_fails_a_sum_no_sample_shows_wrong():
+    broken_terms, broken_slices = _wrong_at_all_ones(4)
+    ones = ((1,) * 4,) * 3
+    sampled = dict(mode="sampled", samples=200, seed=0)
+    xs, ys, zs = tensor._sampled_tuples(2, 4, 200, 0)
+    assert ones not in zip(xs, ys, zs)
+    assert verify_expansion(broken_terms, **sampled) == (False, None)
+    assert verify_decomposition(broken_slices, **sampled) == (False, None)
+    assert verify_expansion(broken_terms) == (False, ones)
+    assert verify_decomposition(broken_slices) == (False, ones)
+
+
+@pytest.mark.parametrize("setting,n,D", [(BINARY, 0, None), (BINARY, 3, None),
+                                         (MOD, 1, 3), (MOD, 2, 4), (MOD, 2, 5)])
+def test_a_sum_over_a_scaled_denominator_passes_without_a_scan(setting, n, D, monkeypatch):
+    # every num and the denominator doubled: the same function as T, decided
+    # by the diagram alone
+    def no_scan(*args):
+        raise AssertionError("scanned for a witness")
+
+    monkeypatch.setattr(tensor, "_witness", no_scan)
+    ts = expand_tensor(setting, n, D)
+    doubled = TermSum(setting, n, D, 2 * ts.denominator,
+                      tuple((2 * num, *f) for num, *f in ts.terms))
+    for mode in ("exhaustive", "sampled"):
+        assert verify_expansion(doubled, mode=mode) == (True, None)
+        assert verify_decomposition(decompose(doubled), mode=mode) == (True, None)
 
 
 def test_value_at_accepts_vectors():
