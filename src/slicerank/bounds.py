@@ -37,7 +37,12 @@ class BoundReport:
 
 def _report(name: str, params: dict, exact=None, value=None) -> BoundReport:
     if value is None:
-        value = float(exact)
+        try:
+            value = float(exact)
+        except OverflowError:
+            # past the float range: the float column reads inf, while exact
+            # and its log2 below stay exact
+            value = math.inf
     log2 = math.log2(value) if value > 0 else None
     if exact is not None and isinstance(exact, (int, Fraction)) and exact > 0:
         # exact log2 for big values float() may distort

@@ -166,43 +166,38 @@ def expand_tensor(
             raise ValueError("the binary setting takes no D")
         if 4**n > max_terms:
             raise ResourceLimitError(f"binary expansion at n={n} exceeds {max_terms} terms")
+        # a choice's bits never meet another coordinate's, so + is |
+        M, denominator = 2, 1
+        choices = [(2, 0, 0, 0), (-1, 1, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 1)]
+    else:
+        if setting != MOD:
+            raise ValueError(f"unknown setting {setting!r}")
+        if D is None or D < 3:
+            raise ValueError("the mod-D expansion needs D >= 3")
+        width = 3 * (D - 1) + (0 if D == 3 else 1)
+        if width**n > max_terms:
+            raise ResourceLimitError(f"mod-D expansion at (n={n}, D={D}) exceeds {max_terms} terms")
+        M, denominator = D, D**n
+        choices = [] if D == 3 else [(3 - D, 0, 0, 0)]
+        for j in range(1, D):
+            choices.append((1, j, D - j, 0))
+            choices.append((1, 0, j, D - j))
+            choices.append((1, j, 0, D - j))
+    # the terms of coordinates 0..h-1 and of h..n-1, h = n//2, each list in
+    # the order of choosing coordinate by coordinate, so their products, low
+    # half outer, come in that order for all n coordinates
+    halves = []
+    for coordinates in (range(n // 2), range(n // 2, n)):
         terms = [(1, 0, 0, 0)]
-        for i in range(n):
-            bit = 1 << i
-            nxt = []
-            ap = nxt.append
-            for num, fx, fy, fz in terms:
-                ap((2 * num, fx, fy, fz))
-                ap((-num, fx | bit, fy, fz))
-                ap((-num, fx, fy | bit, fz))
-                ap((-num, fx, fy, fz | bit))
-            terms = nxt
-        return TermSum(BINARY, n, None, 1, tuple(terms))
-
-    if setting != MOD:
-        raise ValueError(f"unknown setting {setting!r}")
-    if D is None or D < 3:
-        raise ValueError("the mod-D expansion needs D >= 3")
-    width = 3 * (D - 1) + (0 if D == 3 else 1)
-    if width**n > max_terms:
-        raise ResourceLimitError(f"mod-D expansion at (n={n}, D={D}) exceeds {max_terms} terms")
-    choices = []
-    if D != 3:
-        choices.append((3 - D, 0, 0, 0))
-    for j in range(1, D):
-        choices.append((1, j, D - j, 0))
-        choices.append((1, 0, j, D - j))
-        choices.append((1, j, 0, D - j))
-    terms = [(1, 0, 0, 0)]
-    for i in range(n):
-        place = D**i
-        nxt = []
-        ap = nxt.append
-        for num, fx, fy, fz in terms:
-            for cn, cx, cy, cz in choices:
-                ap((num * cn, fx + cx * place, fy + cy * place, fz + cz * place))
-        terms = nxt
-    return TermSum(MOD, n, D, D**n, tuple(terms))
+        for i in coordinates:
+            at = [(cn, cx * M**i, cy * M**i, cz * M**i) for cn, cx, cy, cz in choices]
+            terms = [(num * cn, fx + cx, fy + cy, fz + cz)
+                     for num, fx, fy, fz in terms for cn, cx, cy, cz in at]
+        halves.append(terms)
+    low, high = halves
+    terms = [(an * bn, ax + bx, ay + by, az + bz)
+             for an, ax, ay, az in low for bn, bx, by, bz in high]
+    return TermSum(setting, n, D, denominator, tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +263,8 @@ def decompose(ts: TermSum) -> SliceDecomposition:
     """Group terms by (axis, factor): for each term pick the first axis in
     x,y,z order whose factor measure (degree / nontrivial-character count)
     is at most n/3 resp. 2n/3 -- one always exists since the measures sum to
-    at most n resp. 2n."""
+    at most n resp. 2n.  Slices come by axis, then factor; a slice's rows
+    keep the order their terms have in ts.terms."""
     threshold, limit, within = _slicing(ts)
     gx, gy, gz = groups = ({}, {}, {})
     for term in ts.terms:
@@ -276,17 +272,23 @@ def decompose(ts: TermSum) -> SliceDecomposition:
         if not (0 <= fx < limit and 0 <= fy < limit and 0 <= fz < limit):
             raise _term_error(term, threshold, limit)
         if within[fx]:
-            gx.setdefault(fx, []).append((num, fy, fz))
+            group, factor, row = gx, fx, (num, fy, fz)
         elif within[fy]:
-            gy.setdefault(fy, []).append((num, fx, fz))
+            group, factor, row = gy, fy, (num, fx, fz)
         elif within[fz]:
-            gz.setdefault(fz, []).append((num, fx, fy))
+            group, factor, row = gz, fz, (num, fx, fy)
         else:
             raise _term_error(term, threshold, limit)
+        rows = group.get(factor)
+        if rows is None:
+            group[factor] = [row]
+        else:
+            rows.append(row)
+    # popping frees each row list as soon as its tuple is made
     slices = tuple(
-        Slice(axis, factor, tuple(sorted(residual)))
+        Slice(axis, factor, tuple(group.pop(factor)))
         for axis, group in enumerate(groups)
-        for factor, residual in sorted(group.items())
+        for factor in sorted(group)
     )
     return SliceDecomposition(ts.setting, ts.n, ts.D, ts.denominator, slices)
 

@@ -1,9 +1,11 @@
 import csv
 import json
+import math
 
 import pytest
 
 from slicerank import tensor as tensor_mod
+from slicerank.bounds import mod_count_bound
 from slicerank.cli import main
 from slicerank.tensor import BoundCertificate, decompose
 from test_tensor import _drop_last_residual_term, _first_mismatch, _wrong_at_all_ones
@@ -117,6 +119,23 @@ def test_bounds_csv_round_trip(capsys, tmp_path):
     first = (tmp_path / "bounds.csv").read_bytes()
     run(capsys, "bounds", "--n", "2", "--D", "3", "--csv", out_csv)
     assert (tmp_path / "bounds.csv").read_bytes() == first
+
+
+def test_bounds_past_the_float_range(capsys, tmp_path):
+    # the mod-D count (n >= 646 at D = 3) and the capset reduction count
+    # (n >= 537) overflow a float: their float column reads inf, while the
+    # exact value and its log2 stay exact
+    out_csv = str(tmp_path / "bounds.csv")
+    code, _, err = run(capsys, "bounds", "--n", "700", "--D", "3", "--csv", out_csv)
+    assert (code, err) == (0, "")
+    with open(out_csv) as fh:
+        by_name = {r[0]: r for r in csv.reader(fh)}
+    count = mod_count_bound(700, 3)
+    assert by_name["mod-slice-count"][3:] == [str(count), "inf", f"{math.log2(count):.12g}"]
+    reduction = by_name["capset-reduction-count"]
+    numerator, denominator = map(int, reduction[3].split("/"))
+    assert reduction[4] == "inf"
+    assert reduction[5] == f"{math.log2(numerator) - math.log2(denominator):.12g}"
 
 
 # --- verify-tensor ------------------------------------------------------------

@@ -183,6 +183,83 @@ def test_expansion_resource_guard():
         expand_tensor(MOD, 3, 6, max_terms=100)
 
 
+def _reference_expand(setting, n, D=None, max_terms=tensor.DEFAULT_MAX_TERMS):
+    # the expansion as two loops, one per setting, choosing coordinate by
+    # coordinate: every term of coordinates 0..i-1 is extended by each choice
+    # for coordinate i in turn
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if setting == BINARY:
+        if D is not None:
+            raise ValueError("the binary setting takes no D")
+        if 4**n > max_terms:
+            raise ResourceLimitError(f"binary expansion at n={n} exceeds {max_terms} terms")
+        terms = [(1, 0, 0, 0)]
+        for i in range(n):
+            bit = 1 << i
+            nxt = []
+            ap = nxt.append
+            for num, fx, fy, fz in terms:
+                ap((2 * num, fx, fy, fz))
+                ap((-num, fx | bit, fy, fz))
+                ap((-num, fx, fy | bit, fz))
+                ap((-num, fx, fy, fz | bit))
+            terms = nxt
+        return TermSum(BINARY, n, None, 1, tuple(terms))
+
+    if setting != MOD:
+        raise ValueError(f"unknown setting {setting!r}")
+    if D is None or D < 3:
+        raise ValueError("the mod-D expansion needs D >= 3")
+    width = 3 * (D - 1) + (0 if D == 3 else 1)
+    if width**n > max_terms:
+        raise ResourceLimitError(f"mod-D expansion at (n={n}, D={D}) exceeds {max_terms} terms")
+    choices = []
+    if D != 3:
+        choices.append((3 - D, 0, 0, 0))
+    for j in range(1, D):
+        choices.append((1, j, D - j, 0))
+        choices.append((1, 0, j, D - j))
+        choices.append((1, j, 0, D - j))
+    terms = [(1, 0, 0, 0)]
+    for i in range(n):
+        place = D**i
+        nxt = []
+        ap = nxt.append
+        for num, fx, fy, fz in terms:
+            for cn, cx, cy, cz in choices:
+                ap((num * cn, fx + cx * place, fy + cy * place, fz + cz * place))
+        terms = nxt
+    return TermSum(MOD, n, D, D**n, tuple(terms))
+
+
+@pytest.mark.parametrize(
+    "setting,n,D", [(BINARY, n, None) for n in range(0, 9)]
+    + [(MOD, n, D) for D in range(3, 8) for n in range(0, 4)],
+)
+def test_expansion_matches_the_coordinate_by_coordinate_reference(setting, n, D):
+    # the same terms in the same order
+    assert expand_tensor(setting, n, D) == _reference_expand(setting, n, D)
+
+
+def _raised(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except (ValueError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+@pytest.mark.parametrize(
+    "args,kwargs",
+    [((BINARY, -1), {}), ((MOD, -1, 3), {}), ((BINARY, 2, 3), {}), ((MOD, 2), {}),
+     ((MOD, 2, 2), {}), (("ternary", 2, 3), {}), ((BINARY, 4), {"max_terms": 255}),
+     ((MOD, 3, 6), {"max_terms": 100})],
+)
+def test_expansion_errors_match_the_reference(args, kwargs):
+    assert _raised(expand_tensor, *args, **kwargs) == _raised(_reference_expand, *args, **kwargs)
+
+
 @pytest.mark.parametrize(
     "setting,n,D",
     [(BINARY, 1, None), (BINARY, 2, None), (BINARY, 3, None), (BINARY, 4, None),
@@ -202,9 +279,48 @@ def test_decompose_binary_n1_structure():
     # slice on x with trivial factor collects 2*1 - y - z; slice on y with
     # trivial factor collects -x
     assert dec.slices == (
-        Slice(0, 0, ((-1, 0, 1), (-1, 1, 0), (2, 0, 0))),
+        Slice(0, 0, ((2, 0, 0), (-1, 1, 0), (-1, 0, 1))),
         Slice(1, 0, ((-1, 1, 0),)),
     )
+
+
+def _full_terms(sl):
+    # a slice's rows as (num, fx, fy, fz) terms, in the rows' order
+    a, b = tensor._OTHER_AXES[sl.axis]
+    for num, fa, fb in sl.residual:
+        factors = [0, 0, 0]
+        factors[sl.axis], factors[a], factors[b] = sl.factor, fa, fb
+        yield (num, *factors)
+
+
+@pytest.mark.parametrize(
+    "setting,n,D", [(BINARY, 3, None), (BINARY, 5, None), (MOD, 2, 3), (MOD, 3, 3), (MOD, 2, 5)]
+)
+def test_decompose_keeps_the_term_order(setting, n, D):
+    ts = expand_tensor(setting, n, D)
+    terms = list(ts.terms)
+    random.Random(n).shuffle(terms)
+    shuffled = TermSum(setting, n, D, ts.denominator, tuple(terms))
+    dec, sdec = decompose(ts), decompose(shuffled)
+    # the same slices, still by axis, then factor
+    assert [(sl.axis, sl.factor) for sl in sdec.slices] == sorted(
+        (sl.axis, sl.factor) for sl in dec.slices)
+    taken = []
+    for sl in sdec.slices:
+        # the expansion's terms are distinct, so a slice's rows name the
+        # terms it takes; they come in the shuffled order
+        rows = list(_full_terms(sl))
+        assert rows == [t for t in terms if t in set(rows)]
+        taken += rows
+    assert sorted(taken) == sorted(terms)
+    assert tensor._diagram(sdec) == tensor._diagram(dec)
+    assert verify_decomposition(sdec) == verify_decomposition(dec) == (True, None)
+    # a sum missing one term fails the same way in either order
+    broken = TermSum(setting, n, D, ts.denominator, ts.terms[1:])
+    sbroken = TermSum(setting, n, D, ts.denominator, tuple(t for t in terms if t != ts.terms[0]))
+    verdict = verify_decomposition(decompose(broken))
+    assert verdict[0] is False and verdict[1] is not None
+    assert verify_decomposition(decompose(sbroken)) == verdict
 
 
 def test_decompose_factor_measures_within_threshold():
@@ -622,8 +738,8 @@ def test_is_product_rejects_a_dropped_residual_term(setting, n, D):
 # The references are the diagram build and the decomposition before terms were
 # read as packed ints: the diagram split each factor with divmod level by level
 # and grouped under (fx, fy, fz) tuples, and decompose chose each term's axis by
-# a call that range-checked and measured its three factors.  Node interning is
-# shared (tensor._intern).
+# a call that range-checked and measured its three factors (its rows keep the
+# terms' order, as decompose's do).  Node interning is shared (tensor._intern).
 
 
 def _reference_terms(obj):
@@ -713,7 +829,7 @@ def _reference_decompose(ts):
         a, b = tensor._OTHER_AXES[axis]
         groups.setdefault((axis, factors[axis]), []).append((num, factors[a], factors[b]))
     slices = tuple(
-        Slice(axis, factor, tuple(sorted(residual)))
+        Slice(axis, factor, tuple(residual))
         for (axis, factor), residual in sorted(groups.items())
     )
     return SliceDecomposition(ts.setting, ts.n, ts.D, ts.denominator, slices)
