@@ -180,7 +180,10 @@ def capset_capacity_reduction(
     if C < 0:
         raise ValueError("capacity estimate must be nonnegative")
     count = (1 + C) ** n
-    capacity = math.sqrt(float(1 + C))
+    try:
+        capacity = math.sqrt(float(1 + C))
+    except OverflowError:
+        capacity = math.inf
     return [
         _report("capset-reduction-count", {"n": n, "C": C}, exact=count),
         _report("capset-reduction-capacity", {"n": n, "C": C}, value=capacity),

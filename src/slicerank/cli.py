@@ -3,7 +3,7 @@
 Subcommands tie the library into reproducible pipelines:
 
 * ``detect``        freeness verdict for a family file (+ witness)
-* ``certify``       sunflower-free check, diagonality, verified slice count
+* ``certify``       sunflower-free check, diagonality, structural slice count
 * ``bounds``        closed-form bound tables and the capacity summary
 * ``verify-tensor`` build the expansion, decompose, check both against the
                     product form (a failure names the first wrong point
@@ -12,7 +12,8 @@ Subcommands tie the library into reproducible pipelines:
 * ``encode``        pair-encode a binary family and capset-check its layers
 
 Exit codes: 0 = success / property verified; 1 = checked and false (a
-sunflower was found, a decomposition failed, a layer is not a capset);
+sunflower was found, a decomposition or a certificate's slice count failed
+its check, a layer is not a capset);
 2 = usage or resource error.  All randomness is seed-controlled, so a rerun
 with identical flags is byte-identical.
 """
@@ -73,6 +74,9 @@ def cmd_certify(args) -> int:
         print("not sunflower-free; cannot certify")
         for m in exc.witness:
             print(f"witness: {m.to_line()}")
+        return 1
+    except tensor_mod.CertificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
         Path(args.json).write_text(cert.to_json())

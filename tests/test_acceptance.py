@@ -52,13 +52,13 @@ from slicerank.tensor import (
     DEFAULT_MAX_TERMS,
     certify_family,
     check_diagonal,
-    count_slices,
     decompose,
     decomposition_size,
     expand_tensor,
     verify_decomposition,
     verify_expansion,
 )
+from test_tensor import count_slices
 
 EXHAUSTIVE_INSTANCES = [
     (BINARY, 1, None),

@@ -1,14 +1,24 @@
 import csv
+import importlib.util
 import json
 import math
+import time
+from pathlib import Path
 
 import pytest
 
 from slicerank import tensor as tensor_mod
 from slicerank.bounds import mod_count_bound
 from slicerank.cli import main
+from slicerank.setsys import BINARY, MOD, find_sunflower
 from slicerank.tensor import BoundCertificate, decompose
-from test_tensor import _drop_last_residual_term, _first_mismatch, _wrong_at_all_ones
+from test_tensor import _drop_last_residual_term, _first_mismatch, _wrong_at_all_ones, key_count
+
+_spec = importlib.util.spec_from_file_location(
+    "certify_scaling", Path(__file__).resolve().parent.parent / "scripts" / "certify_scaling.py"
+)
+certify_scaling = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(certify_scaling)
 
 
 @pytest.fixture
@@ -96,6 +106,53 @@ def test_certify_binary(family_file, capsys):
     assert code == 0 and "slice_count: 3" in out
 
 
+def test_certify_slice_count_out_of_range_is_an_error(family_file, capsys, monkeypatch):
+    monkeypatch.setattr(tensor_mod, "_structural_slice_count", lambda setting, n, D: 0)
+    path = family_file("f.txt", "10\n01\n")
+    code, out, err = run(capsys, "certify", path)
+    assert (code, out) == (1, "")
+    assert err == "error: expected |A| = 2 <= slice count 0 <= closed form 9\n"
+
+
+def test_certify_failed_lemma_is_an_error(family_file, capsys, monkeypatch):
+    tensor_mod._structural_slice_count.cache_clear()
+    tensor_mod._one_coordinate.cache_clear()
+    monkeypatch.setattr(tensor_mod, "_choices", lambda setting, D: [(1, 0, 0, 0)])
+    path = family_file("f.txt", "10\n01\n")
+    code, out, err = run(capsys, "certify", path)
+    assert (code, out) == (1, "")
+    assert err == "error: the binary expansion at n=1 is not the product form\n"
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_certify_large_D_is_a_resource_error(family_file, capsys, n):
+    # the one-coordinate check would scan 100^3 points with 298 terms each
+    path = family_file("f.txt", "0" * n + "\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify", path, "--D", "100")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: the one-coordinate check over 1000000 points at D=100 is over the cap\n"
+
+
+@pytest.mark.parametrize(
+    "setting,n,D,size", [(BINARY, 11, None, 64), (BINARY, 20, None, 128), (MOD, 12, 3, 128)]
+)
+def test_certify_past_the_term_cap(family_file, capsys, tmp_path, setting, n, D, size):
+    # each expansion is far over the term cap; the certificate never builds it
+    family = certify_scaling.free_family(setting, n, D, size, seed=1)
+    assert len(family) == size and find_sunflower(family) is None
+    path = family_file("f.txt", family.to_text())
+    out_json = str(tmp_path / "cert.json")
+    code, out, err = run(capsys, "certify", path, *([] if D is None else ["--D", str(D)]),
+                         "--json", out_json)
+    assert (code, err) == (0, "")
+    cert = BoundCertificate.from_json((tmp_path / "cert.json").read_text())
+    layers = len({m.bits.bit_count() for m in family}) if setting == BINARY else 1
+    assert cert.slice_count == key_count(setting, n, D) * layers
+    assert f"conclusion: |A| <= {cert.slice_count}" in out
+
+
 # --- bounds -----------------------------------------------------------------
 
 
@@ -136,6 +193,16 @@ def test_bounds_past_the_float_range(capsys, tmp_path):
     numerator, denominator = map(int, reduction[3].split("/"))
     assert reduction[4] == "inf"
     assert reduction[5] == f"{math.log2(numerator) - math.log2(denominator):.12g}"
+
+
+def test_bounds_capacity_past_the_float_range(capsys):
+    # 1 + C overflows a float, so its square root reads inf
+    code, out, err = run(capsys, "bounds", "--n", "3", "--C", "1e400")
+    assert (code, err) == (0, "")
+    rows = [line.split() for line in out.splitlines() if line.startswith("capset-reduction")]
+    assert [row[0] for row in rows] == ["capset-reduction-count"] + ["capset-reduction-capacity"] * 2
+    assert rows[0][3] == "inf"
+    assert rows[1][2] == rows[2][2] == "inf"
 
 
 # --- verify-tensor ------------------------------------------------------------

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from slicerank.setsys import MOD
+from slicerank.setsys import BINARY, MOD
 from slicerank.tensor import BoundCertificate, decomposition_size
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,3 +71,23 @@ def test_capacity_report_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "exact count <= growth^n check, n<= 50, D<= 20: True"
+
+
+def test_certify_scaling_times_each_stage():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "scripts/certify_scaling.py",
+         "--instances", "binary:6", "mod-3:3", "--size", "8", "--repeats", "1"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["setting", "n", "members", "layers", "find_sunflower_ms",
+                      "check_diagonal_ms", "slice_count_ms", "certify_ms", "slice_count"]
+    assert [row[:2] for row in rows] == [["binary", "6"], ["mod-3", "3"]]
+    for row in rows:
+        assert 1 <= int(row[2]) <= 8
+        assert all(float(ms) >= 0 for ms in row[4:8])
+    layers = int(rows[0][3])
+    assert int(rows[0][8]) == layers * decomposition_size(BINARY, 6)
+    assert int(rows[1][8]) == decomposition_size(MOD, 3, 3)

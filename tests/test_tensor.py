@@ -30,7 +30,6 @@ from slicerank.tensor import (
     TermSum,
     certify_family,
     check_diagonal,
-    count_slices,
     decompose,
     decomposition_size,
     diagonal_decomposition,
@@ -47,6 +46,69 @@ def sv(*coords):
 
 def dv(D, *coords):
     return DVector(len(coords), D, tuple(coords))
+
+
+def count_slices(ts):
+    """Number of slices decompose(ts) would produce, without building the
+    residuals (the grouping keys are streamed into one set per axis): the
+    key count of a materialised expansion, an oracle for decomposition_size."""
+    threshold, limit, within = tensor._slicing(ts)
+    kx, ky, kz = keys = (set(), set(), set())
+    for term in ts.terms:
+        num, fx, fy, fz = term
+        if not (0 <= fx < limit and 0 <= fy < limit and 0 <= fz < limit):
+            raise tensor._term_error(term, threshold, limit)
+        if within[fx]:
+            kx.add(fx)
+        elif within[fy]:
+            ky.add(fy)
+        elif within[fz]:
+            kz.add(fz)
+        else:
+            raise tensor._term_error(term, threshold, limit)
+    return sum(map(len, keys))
+
+
+def _frontier(points):
+    """The maximal points of a set of measure vectors."""
+    return frozenset(
+        p for p in points
+        if not any(q != p and all(a >= b for a, b in zip(q, p)) for q in points)
+    )
+
+
+def key_count(setting, n, D=None):
+    """Number of realised keys (axis, f) of decompose(expand_tensor(...)),
+    by a program over the one-coordinate expansion instead of the closed
+    form.  A key is realised iff some term carries f on the axis, f has
+    measure at most t, and every earlier axis has measure above t.  Digit by
+    digit of f, the state is f's measure so far and the Pareto frontier of
+    the earlier axes' reachable measure vectors, both capped at t + 1; each
+    f takes one path, so counting f per state counts the keys."""
+    rows = expand_tensor(setting, 1, D).terms
+    t = n // 3 if setting == BINARY else (2 * n) // 3
+    cap = t + 1
+    total = 0
+    for axis in range(3):
+        # per digit of f: what a coordinate adds to the earlier axes' measures
+        steps = {}
+        for _, *digits in rows:
+            add = tuple(int(digits[b] != 0) for b in range(axis))
+            steps.setdefault(digits[axis], set()).add(add)
+        states = {(0, frozenset([(0,) * axis])): 1}
+        for _ in range(n):
+            nxt = {}
+            for (m, front), count in states.items():
+                for d, adds in steps.items():
+                    if m + (d != 0) > t:
+                        continue
+                    reach = {tuple(min(cap, v + a) for v, a in zip(p, add))
+                             for p in front for add in adds}
+                    key = (m + (d != 0), _frontier(reach))
+                    nxt[key] = nxt.get(key, 0) + count
+            states = nxt
+        total += sum(count for (_, front), count in states.items() if (cap,) * axis in front)
+    return total
 
 
 def _unpack_digits(f, n, D):
@@ -1041,6 +1103,22 @@ def test_decomposition_size_closed_form_matches_actual():
             assert decomposition_size(MOD, n, D) == count_slices(expand_tensor(MOD, n, D))
 
 
+def test_decomposition_size_matches_the_key_count_program():
+    for n in range(0, 41):
+        assert decomposition_size(BINARY, n) == key_count(BINARY, n)
+    for D in range(3, 8):
+        for n in range(0, 9):
+            assert decomposition_size(MOD, n, D) == key_count(MOD, n, D)
+
+
+@pytest.mark.parametrize("n,D", [(7, 3)] + [(n, 7) for n in range(0, 5)])
+def test_decomposition_size_matches_the_built_grouping_at_the_term_cap(n, D):
+    # with acceptance criterion 03, every (n, D <= 7) whose expansion fits
+    # the term cap: mod-3 n=7 (279 936 terms) and mod-7 n<=4 are built here
+    ts = expand_tensor(MOD, n, D)
+    assert decomposition_size(MOD, n, D) == count_slices(ts) == key_count(MOD, n, D)
+
+
 def test_slice_counts_within_closed_form_bounds():
     for n in range(0, 11):
         assert decomposition_size(BINARY, n) <= constant_weight_bound(n)
@@ -1208,29 +1286,59 @@ def test_certify_empty_family():
 
 
 def test_certify_rejects_slice_count_below_family_size(monkeypatch):
-    monkeypatch.setattr(tensor, "_verified_slice_count", lambda setting, n, D: 0)
+    monkeypatch.setattr(tensor, "_structural_slice_count", lambda setting, n, D: 0)
     with pytest.raises(CertificationError):
         certify_family(Family.of([sv(1, 0)]))
 
 
 def test_failed_slice_verification_is_a_certification_error(monkeypatch):
-    monkeypatch.setattr(tensor, "_is_product", lambda obj, diagram: False)
-    with pytest.raises(CertificationError):
-        tensor._verified_slice_count.__wrapped__(BINARY, 1, None)
+    # the one-coordinate lemma fails when the choice table is not T at n = 1
+    tensor._one_coordinate.cache_clear()
+    monkeypatch.setattr(tensor, "_choices", lambda setting, D: [(2, 0, 0, 0), (-1, 1, 0, 0)])
+    with pytest.raises(CertificationError, match="not the product form"):
+        tensor._structural_slice_count.__wrapped__(BINARY, 1, None)
+
+
+def test_choice_table_is_the_one_coordinate_expansion():
+    # decomposition_size counts keys of a table whose rows have at most 1
+    # resp. 2 nonzero factor digits, so every term of the n-fold product has
+    # an axis of measure within n//3 resp. 2n//3
+    for setting, D in [(BINARY, None)] + [(MOD, D) for D in range(3, 8)]:
+        table = tensor._choices(setting, D)
+        assert list(expand_tensor(setting, 1, D).terms) == table
+        most = 1 if setting == BINARY else 2
+        assert all(sum(c != 0 for c in row[1:]) <= most for row in table)
 
 
 def test_certify_checks_the_slice_count_without_sampling(monkeypatch):
-    # the slice count is checked by the product diagram, which needs no
-    # point, sampled or not
+    # the slice count rests on the one-coordinate lemma, which needs no
+    # sampled point
     def no_sampling(*args):
         raise AssertionError("sampled a point")
 
     monkeypatch.setattr(tensor, "_sampled_tuples", no_sampling)
-    tensor._verified_slice_count.cache_clear()
+    tensor._structural_slice_count.cache_clear()
     members = [SubsetVector.from_support(6, s) for s in ([1, 2], [1, 3], [2, 3], [1, 2, 3, 4])]
     cert = certify_family(Family.of(members))
     assert cert.diagonal_ok
     assert cert.slice_count == 2 * decomposition_size(BINARY, 6)
+
+
+def test_certify_builds_no_expansion(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("built the expansion or its decomposition")
+
+    tensor._structural_slice_count.cache_clear()
+    tensor._one_coordinate.cache_clear()
+    monkeypatch.setattr(tensor, "expand_tensor", built)
+    monkeypatch.setattr(tensor, "decompose", built)
+    members = [SubsetVector.from_support(6, s) for s in ([1, 2], [1, 3], [2, 3], [1, 2, 3, 4])]
+    assert certify_family(Family.of(members)).slice_count == 2 * key_count(BINARY, 6)
+    cert = certify_family(Family.of([dv(3, 0, 1, 2), dv(3, 1, 1, 0)]))
+    assert cert.slice_count == key_count(MOD, 3, 3)
+    # a certificate at an n whose expansion is far over the term cap
+    cert = certify_family(Family.of([dv(5, *[1] * 30), dv(5, *[2] * 30)]))
+    assert cert.slice_count == key_count(MOD, 30, 5)
 
 
 def test_certificate_json_round_trip():
