@@ -17,6 +17,7 @@ deterministic across platforms.  The central quantities:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -58,9 +59,9 @@ def _report(name: str, params: dict, exact=None, value=None) -> BoundReport:
 # binary setting
 
 
-def binomial_tail(n: int, kmax: int) -> int:
-    """sum_{k=0}^{kmax} C(n,k); empty (=0) when kmax < 0."""
-    return sum(math.comb(n, k) for k in range(0, kmax + 1))
+def binomial_tail(n: int, kmax: int, weight: int = 1) -> int:
+    """sum_{k=0}^{kmax} C(n,k) weight^k; empty (=0) when kmax < 0."""
+    return sum(math.comb(n, k) * weight**k for k in range(0, kmax + 1))
 
 
 def constant_weight_bound(n: int) -> int:
@@ -103,7 +104,7 @@ def mod_count_bound(n: int, D: int) -> int:
         raise ValueError("the mod-D bounds need D >= 3")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return 3 * sum(math.comb(n, k) * (D - 1) ** k for k in range(0, (2 * n) // 3 + 1))
+    return 3 * binomial_tail(n, (2 * n) // 3, D - 1)
 
 
 def _int_cbrt(v: int) -> int | None:
@@ -138,25 +139,13 @@ def count_below_growth_power(n: int, D: int) -> bool:
     cubing both sides: lhs^3 * 4^n <= 27^n * (D-1)^(2n) over integers."""
     if D < 3 or n < 1:
         raise ValueError("need D >= 3 and n >= 1")
-    lhs = sum(math.comb(n, k) * (D - 1) ** k for k in range(0, (2 * n) // 3 + 1))
+    lhs = binomial_tail(n, (2 * n) // 3, D - 1)
     return lhs**3 * 4**n <= 27**n * (D - 1) ** (2 * n)
 
 
 def search_max_within_growth(max_size: int, n: int, D: int) -> bool:
     """Exact check that max_size <= 3 * g_D^n, again by cubing."""
     return max_size**3 * 4**n <= 27 ** (n + 1) * (D - 1) ** (2 * n)
-
-
-# ---------------------------------------------------------------------------
-# classical set-size bound
-
-
-def erdos_rado_bound(m: int, k: int) -> int:
-    """m! * (k-1)^m, the classical bound for k-sunflower-free families of
-    m-element sets."""
-    if m < 0 or k < 2:
-        raise ValueError("need m >= 0 and k >= 2")
-    return math.factorial(m) * (k - 1) ** m
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +168,18 @@ def capset_capacity_reduction(
         C = Fraction(str(C))
     if C < 0:
         raise ValueError("capacity estimate must be nonnegative")
-    count = (1 + C) ** n
+    params = {"n": n, "C": C}
+    count = _report("capset-reduction-count", params, exact=(1 + C) ** n)
     try:
-        capacity = math.sqrt(float(1 + C))
+        root = math.sqrt(float(1 + C))
     except OverflowError:
-        capacity = math.inf
-    return [
-        _report("capset-reduction-count", {"n": n, "C": C}, exact=count),
-        _report("capset-reduction-capacity", {"n": n, "C": C}, value=capacity),
-    ]
+        # 1 + C is past the float range, but its root may not be: the root's
+        # log2 is exact from the numerator and denominator of 1 + C, and the
+        # float column reads inf only where the root itself overflows
+        log2 = (math.log2((1 + C).numerator) - math.log2((1 + C).denominator)) / 2
+        value = 2.0**log2 if log2 < sys.float_info.max_exp else math.inf
+        return [count, BoundReport("capset-reduction-capacity", params, None, value, log2)]
+    return [count, _report("capset-reduction-capacity", params, value=root)]
 
 
 def capacities_summary(C: Fraction | float | str = DEFAULT_CAPSET_CAPACITY) -> list[BoundReport]:

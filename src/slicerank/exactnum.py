@@ -7,10 +7,6 @@ vector on the power basis 1, zeta, ..., zeta^(phi(D)-1), kept reduced modulo
 the D-th cyclotomic polynomial.  Reducing modulo Phi_D rather than X^D - 1
 keeps the representation an integral domain, so zero-testing -- the whole
 point of exact verification -- is unambiguous.
-
-Character sums introduce denominators that are powers of D (one factor 1/D
-per coordinate); ``CycFrac`` carries those without needing general inversion
-in the cyclotomic field.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +151,6 @@ def zeta_pow(D: int, e: int) -> CycElem:
     return CycElem.from_power_vector(D, vec)
 
 
-def character_value(D: int, j: int, a: int) -> CycElem:
-    """Value of the j-th character of Z/DZ at a, namely zeta_D^(j*a)."""
-    if not (0 <= j < D and 0 <= a < D):
-        raise ValueError("character index and argument must lie in [0, D)")
-    return zeta_pow(D, j * a)
-
-
 def orthogonality_sum(D: int, t: int) -> Fraction:
     """(1/D) * sum over all characters chi of chi(t), computed exactly.
 
@@ -179,69 +167,3 @@ def orthogonality_sum(D: int, t: int) -> Fraction:
         raise ArithmeticError("character sum failed to reduce to an integer")
     return Fraction(value, D)
 
-
-# ---------------------------------------------------------------------------
-# fractions over the ring, denominators as plain positive integers
-
-
-def _content(coeffs) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, abs(c))
-    return g
-
-
-@dataclass(frozen=True)
-class CycFrac:
-    """num / den with num in Z[zeta_D] and den a positive integer.
-
-    In tensor work den is always a power of D (the only denominators the
-    orthogonality relations introduce), but nothing here depends on that.
-    """
-
-    num: CycElem
-    den: int
-
-    @classmethod
-    def make(cls, num: CycElem, den: int = 1) -> "CycFrac":
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        if num.is_zero():
-            return cls(num, 1)
-        g = gcd(_content(num.coeffs), den)
-        if g > 1:
-            num = CycElem(num.D, tuple(c // g for c in num.coeffs))
-            den //= g
-        return cls(num, den)
-
-    @classmethod
-    def from_int(cls, D: int, value: int) -> "CycFrac":
-        return cls.make(CycElem.from_int(D, value))
-
-    def __add__(self, other: "CycFrac") -> "CycFrac":
-        return CycFrac.make(
-            self.num * CycElem.from_int(self.num.D, other.den)
-            + other.num * CycElem.from_int(self.num.D, self.den),
-            self.den * other.den,
-        )
-
-    def __sub__(self, other: "CycFrac") -> "CycFrac":
-        return self + CycFrac.make(-other.num, other.den)
-
-    def __neg__(self) -> "CycFrac":
-        return CycFrac(-self.num, self.den)
-
-    def __mul__(self, other: "CycFrac") -> "CycFrac":
-        return CycFrac.make(self.num * other.num, self.den * other.den)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def as_fraction(self) -> Fraction | None:
-        """Exact rational value, or None if the numerator is irrational."""
-        v = self.num.as_int()
-        if v is None:
-            return None
-        return Fraction(v, self.den)

@@ -342,25 +342,6 @@ def greedy_witness(cfg: SearchConfig, seed: int) -> Family:
     return _to_family(cfg, [cands[c] for c in members])
 
 
-def tensor_power(family: Family, k: int, max_size: int = 200_000) -> Family:
-    """Cartesian power with coordinate concatenation: |F|^k members over
-    n*k coordinates.  Freeness is preserved in the mod-D setting (a triple
-    of k-tuples that is distinct somewhere has a two-equal coordinate
-    there); the binary predicate is not preserved by concatenation, so
-    binary families are rejected."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    if family.setting == BINARY:
-        raise ValueError("tensor powering applies to mod-D families only")
-    if len(family) ** k > max_size:
-        raise ValueError(f"|F|^{k} exceeds {max_size} members")
-    members = []
-    for combo in itertools.product(family.members, repeat=k):
-        coords = tuple(itertools.chain.from_iterable(m.coords for m in combo))
-        members.append(DVector(family.n * k, family.D, coords))
-    return Family(MOD, family.n * k, family.D, tuple(members))
-
-
 def validate_against_bounds(result: SearchResult, cfg: SearchConfig) -> dict:
     """Compare a search maximum with the proved closed-form bounds; a
     violation would mean a bug, so it raises BoundViolationError."""

@@ -16,7 +16,7 @@ characters of Z/DZ in the mod-D setting).  Grouping the terms by a factor
 of low degree / few nontrivial characters packs the sum into slices.  On a
 family where T is diagonal, the number of slices bounds the family size --
 that step (slice rank of a diagonal tensor equals the support size) is used
-as a trusted theorem and only its constructive direction is implemented.
+as a trusted theorem.
 
 All evaluation here is exact: integers in the binary setting, cyclotomic
 integers over a D-power denominator in the mod-D setting.
@@ -29,14 +29,13 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .bounds import binomial_tail, mod_count_bound, subset_family_bound
-from .exactnum import CycElem, CycFrac
+from .exactnum import CycElem
 from .setsys import (
     BINARY,
     MOD,
-    DVector,
     Family,
     SubsetVector,
     completions,
@@ -113,18 +112,8 @@ def tensor_value(x, y, z) -> int:
 # place D^i <-> coordinate i+1)
 
 
-class _Evaluated:
-    """Keeps a term sum's evaluator once value_at has built it from the
-    diagram, as an attribute outside the dataclass fields, so equality and
-    hashing ignore it."""
-
-    @cached_property
-    def _evaluate(self):
-        return _evaluator(self, _diagram(self))
-
-
 @dataclass(frozen=True)
-class TermSum(_Evaluated):
+class TermSum:
     """T expanded into separable terms (num, fx, fy, fz) over a common
     denominator: 1 in the binary setting, D^n in the mod-D setting."""
 
@@ -133,10 +122,6 @@ class TermSum(_Evaluated):
     D: int | None
     denominator: int
     terms: tuple[tuple[int, int, int, int], ...]
-
-    def value_at(self, x, y, z):
-        """Exact evaluation; int in the binary setting, Fraction mod-D."""
-        return _value_at(self, x, y, z)
 
 
 def _mask(coords) -> int:
@@ -168,9 +153,7 @@ def _choices(setting: str, D: int | None) -> list[tuple[int, int, int, int]]:
     return choices
 
 
-def expand_tensor(
-    setting: str, n: int, D: int | None = None, max_terms: int = DEFAULT_MAX_TERMS
-) -> TermSum:
+def expand_tensor(setting: str, n: int, D: int | None = None) -> TermSum:
     """Expand the coordinate product into separable terms: the n-fold
     product of _choices(setting, D), over the denominator 1 resp. D^n."""
     if n < 0:
@@ -178,9 +161,9 @@ def expand_tensor(
     choices = _choices(setting, D)
     # binary: a choice's bits never meet another coordinate's, so + is |
     M = 2 if setting == BINARY else D
-    if len(choices) ** n > max_terms:
+    if len(choices) ** n > DEFAULT_MAX_TERMS:
         at = f"binary expansion at n={n}" if M == 2 else f"mod-D expansion at (n={n}, D={D})"
-        raise ResourceLimitError(f"{at} exceeds {max_terms} terms")
+        raise ResourceLimitError(f"{at} exceeds {DEFAULT_MAX_TERMS} terms")
     # the terms of coordinates 0..h-1 and of h..n-1, h = n//2, each list in
     # the order of choosing coordinate by coordinate, so their products, low
     # half outer, come in that order for all n coordinates
@@ -213,7 +196,7 @@ class Slice:
 
 
 @dataclass(frozen=True)
-class SliceDecomposition(_Evaluated):
+class SliceDecomposition:
     setting: str
     n: int
     D: int | None
@@ -223,10 +206,6 @@ class SliceDecomposition(_Evaluated):
     @property
     def slice_count(self) -> int:
         return len(self.slices)
-
-    def value_at(self, x, y, z):
-        """Exact slice-sum evaluation (the quantity verify checks)."""
-        return _value_at(self, x, y, z)
 
 
 def _slicing(ts: TermSum):
@@ -322,13 +301,9 @@ def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
     if D is None or D < 3:
         raise ValueError("the mod-D count needs D >= 3")
     t = (2 * n) // 3
-
-    def weighted_tail(kmax: int) -> int:
-        return sum(math.comb(n, k) * (D - 1) ** k for k in range(0, kmax + 1))
-
-    nx = weighted_tail(t)
-    ny = weighted_tail(min(t, n - 1))
-    nzc = weighted_tail(min(t, 2 * (n - t - 1)))
+    nx = binomial_tail(n, t, D - 1)
+    ny = binomial_tail(n, min(t, n - 1), D - 1)
+    nzc = binomial_tail(n, min(t, 2 * (n - t - 1)), D - 1)
     return nx + ny + nzc
 
 
@@ -499,8 +474,14 @@ def _diagram(obj):
 @lru_cache(maxsize=None)
 def _one_coordinate(setting: str, D: int | None):
     """(coef, level, denominator) of T's diagram at n = 1, checked against
-    the product form on all M^3 points."""
-    ts = TermSum(setting, 1, D, 1 if setting == BINARY else D, tuple(_choices(setting, D)))
+    the product form on all M^3 points, a scan capped in D as an exhaustive
+    one is."""
+    # _choices first: it rejects a bad setting or D
+    choices = _choices(setting, D)
+    cube = (2 if setting == BINARY else D) ** 3
+    if cube * len(choices) > DEFAULT_WORK_CAP:
+        raise ResourceLimitError(f"the one-coordinate check over {cube} points at D={D} is over the cap")
+    ts = TermSum(setting, 1, D, 1 if setting == BINARY else D, tuple(choices))
     diagram = _diagram(ts)
     if _witness(ts, diagram, _all_points(_alphabet(ts), 1)) is not None:
         raise ArithmeticError(f"the {setting} expansion at n=1 is not the product form")
@@ -586,35 +567,6 @@ def _evaluator(obj, diagram):
     return value
 
 
-def _point(v, n: int, M: int) -> tuple[int, ...]:
-    """The coordinate tuple of a vector or tuple, checked to lie in range(M)^n."""
-    if isinstance(v, SubsetVector):
-        v = v.coords()
-    elif isinstance(v, DVector):
-        v = v.coords
-    point = tuple(v)
-    if len(point) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(point)}")
-    for d in point:
-        if not 0 <= d < M:
-            raise ValueError(f"coordinate {d} lies outside range({M})")
-    return point
-
-
-def _value_at(obj, x, y, z):
-    """A TermSum's or SliceDecomposition's exact value at one triple of
-    vectors or coordinate tuples: int (binary) or Fraction (mod-D)."""
-    M = _alphabet(obj)
-    point = [_point(v, obj.n, M) for v in (x, y, z)]
-    value = obj._evaluate(*point)
-    if obj.setting == BINARY:
-        return value
-    frac = CycFrac.make(CycElem.from_power_vector(obj.D, value), obj.denominator).as_fraction()
-    if frac is None:
-        raise ArithmeticError("separable sum evaluated to an irrational value")
-    return frac
-
-
 def _all_points(M: int, n: int):
     """Every (x, y, z) over range(M)^n, in itertools.product order."""
     return itertools.product(list(itertools.product(range(M), repeat=n)), repeat=3)
@@ -654,7 +606,7 @@ def _witness(obj, diagram, points):
     return None
 
 
-def _verify(obj, mode, samples, seed, point_cap, work_cap):
+def _verify(obj, mode, samples, seed):
     if mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled verification needs at least 1 sample, got {samples}")
@@ -668,7 +620,7 @@ def _verify(obj, mode, samples, seed, point_cap, work_cap):
         # the scan evaluates every edge of the diagram at every point
         cube = M ** (3 * n)
         edges = sum(len(node) for level in diagram[1] for node in level)
-        if cube > point_cap or cube * edges > work_cap:
+        if cube > DEFAULT_POINT_CAP or cube * edges > DEFAULT_WORK_CAP:
             raise ResourceLimitError(
                 f"exhaustive verification over {cube} points is over the cap; use sampled mode"
             )
@@ -679,12 +631,7 @@ def _verify(obj, mode, samples, seed, point_cap, work_cap):
 
 
 def verify_expansion(
-    ts: TermSum,
-    mode: str = "exhaustive",
-    samples: int = 200,
-    seed: int = 0,
-    point_cap: int = DEFAULT_POINT_CAP,
-    work_cap: int = DEFAULT_WORK_CAP,
+    ts: TermSum, mode: str = "exhaustive", samples: int = 200, seed: int = 0
 ):
     """Check that the expansion equals the product form.  Returns
     (ok, witness-point-or-None).  The verdict is exact in both modes: a sum
@@ -693,21 +640,16 @@ def verify_expansion(
     whole domain in exhaustive mode, where the witness is the
     lexicographically least and the caps bound the scan, or on seeded
     samples, which can all miss the failure and then leave it None."""
-    return _verify(ts, mode, samples, seed, point_cap, work_cap)
+    return _verify(ts, mode, samples, seed)
 
 
 def verify_decomposition(
-    dec: SliceDecomposition,
-    mode: str = "exhaustive",
-    samples: int = 200,
-    seed: int = 0,
-    point_cap: int = DEFAULT_POINT_CAP,
-    work_cap: int = DEFAULT_WORK_CAP,
+    dec: SliceDecomposition, mode: str = "exhaustive", samples: int = 200, seed: int = 0
 ):
     """Check that the slices sum back to the product form, as
     verify_expansion checks an expansion.  Returns
     (ok, witness-point-or-None)."""
-    return _verify(dec, mode, samples, seed, point_cap, work_cap)
+    return _verify(dec, mode, samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +660,6 @@ def verify_decomposition(
 class DiagonalityReport:
     ok: bool
     witness: tuple | None
-    diagonal_values: tuple[int, ...]
 
 
 def check_diagonal(family: Family) -> DiagonalityReport:
@@ -731,19 +672,14 @@ def check_diagonal(family: Family) -> DiagonalityReport:
     it is a violation, except z = x when x = y, since T(x, x, x) != 0.  The
     rule is symmetric in x and y, so the pair (y, x) has the mask of (x, y)
     and only pairs with x <= y are computed.  The witness is the first
-    violating ordered triple in lexicographic member order; diagonal values
-    are reported alongside (binary diagonal: +-2^(number of zero
-    coordinates); mod-D diagonal: 2^n)."""
+    violating ordered triple in lexicographic member order."""
     members = family.members
     if family.setting == BINARY:
-        n = family.n
         codes = [m.coords() for m in members]
-        diag = tuple(_eval_binary_masks(m.bits, m.bits, m.bits, n) for m in members)
     else:
         if family.D < 3:
             raise ValueError("the mod-D tensor needs D >= 3")
         codes = [m.coords for m in members]
-        diag = tuple(_eval_mod_tuples(c, c, c) for c in codes)
     masks = value_masks(codes, family.n)
     full = (1 << len(codes)) - 1
     for i, x in enumerate(codes):
@@ -754,58 +690,8 @@ def check_diagonal(family: Family) -> DiagonalityReport:
                 nonzero ^= 1 << i
             if nonzero:
                 k = (nonzero & -nonzero).bit_length() - 1
-                return DiagonalityReport(False, (members[i], members[j], members[k]), diag)
-    return DiagonalityReport(True, None, diag)
-
-
-# ---------------------------------------------------------------------------
-# the constructive direction: a diagonal tensor as |A| slices
-
-
-@dataclass(frozen=True)
-class DiagonalDecomposition:
-    """T'(x,y,z) = c_x [x=y=z] on A^3 written as one slice per point:
-    delta_p(x) * (c_p delta_p(y) delta_p(z))."""
-
-    points: tuple
-    values: tuple[int, ...]
-
-    @property
-    def slice_count(self) -> int:
-        return len(self.points)
-
-    def value_at(self, x, y, z) -> int:
-        total = 0
-        for p, c in zip(self.points, self.values):
-            if x == p and y == p and z == p:
-                total += c
-        return total
-
-    def verify(self):
-        """Exhaustively compare the slice sum with the diagonal tensor over
-        the point set; returns (ok, witness-or-None)."""
-        target = dict(zip(self.points, self.values))
-        for x in self.points:
-            for y in self.points:
-                for z in self.points:
-                    want = target[x] if x == y == z else 0
-                    if self.value_at(x, y, z) != want:
-                        return False, (x, y, z)
-        return True, None
-
-
-def diagonal_decomposition(points, values) -> DiagonalDecomposition:
-    """The |A|-slice decomposition of the diagonal tensor with the given
-    nonzero diagonal values."""
-    points = tuple(points)
-    values = tuple(values)
-    if len(points) != len(values):
-        raise ValueError("one value per point")
-    if len(set(points)) != len(points):
-        raise ValueError("points must be distinct")
-    if any(v == 0 for v in values):
-        raise ValueError("diagonal values must be nonzero")
-    return DiagonalDecomposition(points, values)
+                return DiagonalityReport(False, (members[i], members[j], members[k]))
+    return DiagonalityReport(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -885,13 +771,7 @@ def _structural_slice_count(setting: str, n: int, D: int | None) -> int:
     """Slice count of decompose(expand_tensor(setting, n, D)), building
     neither: the expansion is the n-fold product of _choices, which
     _one_coordinate checks is T at n = 1, and decomposition_size counts the
-    realised keys (axis, factor) of that product.  The one-coordinate check
-    scans all M^3 points, so it is capped in D as an exhaustive scan is."""
-    # _choices first: it rejects a bad setting or D
-    edges = len(_choices(setting, D))
-    cube = (2 if setting == BINARY else D) ** 3
-    if cube * edges > DEFAULT_WORK_CAP:
-        raise ResourceLimitError(f"the one-coordinate check over {cube} points at D={D} is over the cap")
+    realised keys (axis, factor) of that product."""
     try:
         _one_coordinate(setting, D)
     except ArithmeticError as exc:

@@ -13,7 +13,6 @@ from slicerank.bounds import (
     capset_capacity_reduction,
     constant_weight_bound,
     count_below_growth_power,
-    erdos_rado_bound,
     layer_bound_root,
     mod_count_bound,
     mod_growth_rate,
@@ -39,6 +38,16 @@ def test_binomial_tail_against_direct_sum():
         for kmax in range(-1, n + 2):
             brute = sum(math.comb(n, k) for k in range(0, max(kmax, -1) + 1))
             assert binomial_tail(n, kmax) == brute
+
+
+@pytest.mark.parametrize("weight", [1, 2, 3, 5])
+def test_weighted_binomial_tail_against_direct_sum(weight):
+    # the (D-1)-weighted tail the mod-D bounds and the key count share
+    for n in range(0, 16):
+        for kmax in range(-1, n + 2):
+            brute = sum(math.comb(n, k) * weight**k for k in range(0, max(kmax, -1) + 1))
+            assert binomial_tail(n, kmax, weight) == brute
+    assert binomial_tail(9, 6, 1) == binomial_tail(9, 6)
 
 
 def test_layer_root_bracket_at_30():
@@ -106,17 +115,6 @@ def test_count_bound_consistent_with_growth():
             assert search_max_within_growth(mod_count_bound(n, D) // 3, n, D)
 
 
-# --- classical bound -------------------------------------------------------------
-
-
-def test_erdos_rado_values():
-    assert erdos_rado_bound(0, 3) == 1
-    assert erdos_rado_bound(2, 3) == 8
-    assert erdos_rado_bound(5, 3) == 120 * 32
-    with pytest.raises(ValueError):
-        erdos_rado_bound(2, 1)
-
-
 # --- capset reduction --------------------------------------------------------------
 
 
@@ -132,6 +130,30 @@ def test_capset_reduction_degenerate_and_integer():
     assert count.exact == 1 and capacity.value == 1.0
     count, _ = capset_capacity_reduction(2, 3)
     assert count.exact == 16
+
+
+@pytest.mark.parametrize("C", ["0", "1.2", "2.7552", "1e300"])
+def test_capacity_row_within_the_float_range(C):
+    _, capacity = capset_capacity_reduction(3, C)
+    root = math.sqrt(float(1 + Fraction(C)))
+    assert (capacity.exact, capacity.value, capacity.log2) == (None, root, math.log2(root))
+
+
+@pytest.mark.parametrize("C", ["1e309", "1e400", "1e616", "1e617", "1e700", Fraction(10**500, 7)])
+def test_capacity_row_past_the_float_range(C):
+    # float(1 + C) overflows; the root is checked against the integer square
+    # root of 1 + C, which reads inf only where the root is past the float range
+    _, capacity = capset_capacity_reduction(3, C)
+    one_plus_c = 1 + Fraction(C)
+    root = math.isqrt(math.floor(one_plus_c))
+    assert capacity.exact is None
+    assert capacity.log2 == pytest.approx(math.log2(root), rel=1e-12)
+    try:
+        want = float(root)
+    except OverflowError:
+        assert capacity.value == math.inf
+    else:
+        assert capacity.value == pytest.approx(want, rel=1e-12)
 
 
 def test_capacity_ordering():

@@ -196,13 +196,17 @@ def test_bounds_past_the_float_range(capsys, tmp_path):
 
 
 def test_bounds_capacity_past_the_float_range(capsys):
-    # 1 + C overflows a float, so its square root reads inf
-    code, out, err = run(capsys, "bounds", "--n", "3", "--C", "1e400")
-    assert (code, err) == (0, "")
-    rows = [line.split() for line in out.splitlines() if line.startswith("capset-reduction")]
-    assert [row[0] for row in rows] == ["capset-reduction-count"] + ["capset-reduction-capacity"] * 2
-    assert rows[0][3] == "inf"
-    assert rows[1][2] == rows[2][2] == "inf"
+    # 1 + C overflows a float, but the root's log2 is exact from the
+    # fraction, and the root reads inf only past the float range itself
+    for C, root, log2 in [("1e400", "1e+200", "664.385618977"), ("1e700", "inf", "1162.67483321")]:
+        code, out, err = run(capsys, "bounds", "--n", "3", "--C", C)
+        assert (code, err) == (0, "")
+        rows = [line.split() for line in out.splitlines() if line.startswith("capset-reduction")]
+        assert [row[0] for row in rows] == (["capset-reduction-count"]
+                                            + ["capset-reduction-capacity"] * 2)
+        assert rows[0][3] == "inf"
+        assert rows[1][2:] == rows[2][2:] == [root, log2]
+        assert float(log2) == pytest.approx(math.log2(10) * int(C[2:]) / 2)
 
 
 # --- verify-tensor ------------------------------------------------------------
@@ -261,6 +265,17 @@ def test_verify_tensor_mod_sampled(capsys):
         "--samples", "32", "--seed", "5",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_verify_tensor_large_D_is_a_resource_error(capsys, n):
+    # the expansion fits the term cap at n <= 2, but the one-coordinate check
+    # would scan 57^3 points with 169 terms each
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-tensor", "--setting", "mod-d", "--n", str(n), "--D", "57")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == "error: the one-coordinate check over 185193 points at D=57 is over the cap\n"
 
 
 def test_verify_tensor_requires_d(capsys):

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from slicerank.exactnum import (
     CycElem,
-    CycFrac,
-    character_value,
     cyclotomic_poly,
     orthogonality_sum,
     phi_degree,
@@ -180,15 +178,6 @@ def test_mixed_modulus_rejected():
 # --- characters and orthogonality -------------------------------------------
 
 
-def test_character_value_is_power():
-    for D in (3, 4, 5):
-        for j in range(D):
-            for a in range(D):
-                assert character_value(D, j, a) == zeta_pow(D, j * a)
-    with pytest.raises(ValueError):
-        character_value(3, 3, 0)
-
-
 @pytest.mark.parametrize("D", range(1, 13))
 def test_orthogonality_exhaustive(D):
     for t in range(D):
@@ -210,41 +199,3 @@ def test_nontrivial_character_sums_vanish():
                 acc = acc + zeta_pow(D, j * t)
             assert acc.is_zero()
 
-
-# --- fractions over the ring -------------------------------------------------
-
-
-def test_cycfrac_normalization():
-    half = CycFrac.make(CycElem.from_int(3, 2), 6)
-    assert half == CycFrac.make(CycElem.from_int(3, 1), 3)
-    assert half.as_fraction() == Fraction(1, 3)
-
-
-def test_cycfrac_arithmetic():
-    third = CycFrac.make(zeta_pow(3, 1), 3)
-    total = third + third + third
-    assert total == CycFrac.make(zeta_pow(3, 1))
-    prod = third * CycFrac.from_int(3, 3)
-    assert prod == CycFrac.make(zeta_pow(3, 1))
-    assert (third - third).is_zero()
-
-
-def test_cycfrac_irrational_has_no_fraction():
-    assert CycFrac.make(zeta_pow(5, 1), 5).as_fraction() is None
-
-
-def test_cycfrac_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        CycFrac.make(CycElem.from_int(3, 1), 0)
-
-
-@settings(max_examples=60)
-@given(element_triples())
-def test_cycfrac_field_laws(triple):
-    a, b, c = triple
-    fa = CycFrac.make(a, 3)
-    fb = CycFrac.make(b, 9)
-    fc = CycFrac.make(c, 27)
-    assert (fa + fb) + fc == fa + (fb + fc)
-    assert fa * (fb + fc) == fa * fb + fa * fc
-    assert fa - fa == CycFrac.from_int(a.D, 0)

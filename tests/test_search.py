@@ -5,7 +5,6 @@ from array import array
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from slicerank import bounds, cli
 from slicerank.bounds import mod_count_bound, subset_family_bound
@@ -24,14 +23,11 @@ from slicerank.search import (
     brute_force_max,
     greedy_witness,
     max_free_family,
-    tensor_power,
     validate_against_bounds,
 )
 from slicerank.setsys import (
     BINARY,
     MOD,
-    DVector,
-    Family,
     is_capset,
     is_sunflower_free,
 )
@@ -419,56 +415,6 @@ def _reference_greedy(cfg, seed):
 def test_greedy_matches_reference_scan(cfg):
     for seed in range(6):
         assert greedy_witness(cfg, seed) == _reference_greedy(cfg, seed), seed
-
-
-# --- tensor powering ------------------------------------------------------------------
-
-
-def test_tensor_power_sizes():
-    fam = Family.of([DVector(1, 3, (0,)), DVector(1, 3, (1,))])
-    cube = tensor_power(fam, 3)
-    assert len(cube) == 8 and cube.n == 3
-
-
-def test_tensor_power_rejects_binary_and_overflow():
-    bfam = max_free_family(SearchConfig(BINARY, 2)).witness
-    with pytest.raises(ValueError):
-        tensor_power(bfam, 2)
-    mfam = Family.of([DVector(1, 3, (0,)), DVector(1, 3, (1,))])
-    with pytest.raises(ValueError):
-        tensor_power(mfam, 3, max_size=7)
-
-
-@st.composite
-def free_mod_families(draw):
-    from slicerank.setsys import triple_is_sunflower
-
-    D = draw(st.sampled_from([3, 4, 5]))
-    n = draw(st.integers(1, 2))
-    pool = draw(
-        st.lists(st.tuples(*[st.integers(0, D - 1)] * n), min_size=1, max_size=10, unique=True)
-    )
-    members: list[DVector] = []
-    for t in pool:
-        v = DVector(n, D, t)
-        if not any(
-            triple_is_sunflower(a, b, v) for a, b in itertools.combinations(members, 2)
-        ):
-            members.append(v)
-    return Family.of(members)
-
-
-@settings(max_examples=25, deadline=None)
-@given(free_mod_families(), st.integers(1, 2))
-def test_tensor_power_preserves_freeness(fam, k):
-    powered = tensor_power(fam, k)
-    assert len(powered) == len(fam) ** k
-    assert is_sunflower_free(powered)
-
-
-def test_tensor_power_preserves_capsets():
-    fam = max_free_family(SearchConfig(CAPSET, 2)).witness
-    assert is_capset(tensor_power(fam, 2))
 
 
 # --- bound comparison ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,6 @@ from slicerank.tensor import (
     check_diagonal,
     decompose,
     decomposition_size,
-    diagonal_decomposition,
     expand_tensor,
     tensor_value,
     verify_decomposition,
@@ -193,7 +193,7 @@ def test_binary_expansion_n1():
 def test_binary_expansion_n0():
     ts = expand_tensor(BINARY, 0)
     assert ts.terms == ((1, 0, 0, 0),)
-    assert ts.value_at((), (), ()) == 1
+    assert _ref_value_at(ts, (), (), ()) == 1
 
 
 def test_expansion_term_counts():
@@ -211,8 +211,8 @@ def test_mod_expansion_nontrivial_counts_are_even_per_coordinate():
 
 def test_mod_expansion_value_example():
     ts = expand_tensor(MOD, 1, 3)
-    assert ts.value_at((0,), (1,), (2,)) == -1
-    assert ts.value_at((0,), (0,), (0,)) == 2
+    assert _ref_value_at(ts, (0,), (1,), (2,)) == -1
+    assert _ref_value_at(ts, (0,), (0,), (0,)) == 2
 
 
 def test_binary_total_degree_invariant():
@@ -238,17 +238,25 @@ def test_mod_total_nontrivial_count_invariant():
             assert total <= 2 * n
 
 
-def test_expansion_resource_guard():
-    with pytest.raises(ResourceLimitError):
-        expand_tensor(BINARY, 4, max_terms=100)
-    with pytest.raises(ResourceLimitError):
-        expand_tensor(MOD, 3, 6, max_terms=100)
+def test_expansion_resource_guard(monkeypatch):
+    # 4^11 and 16^6 terms are over the cap, refused before any term is built
+    with pytest.raises(ResourceLimitError, match="exceeds 1048576 terms"):
+        expand_tensor(BINARY, 11)
+    with pytest.raises(ResourceLimitError, match="exceeds 1048576 terms"):
+        expand_tensor(MOD, 6, 6)
+    # the cap is read at call time: 4^4 terms at its boundary
+    monkeypatch.setattr(tensor, "DEFAULT_MAX_TERMS", 255)
+    with pytest.raises(ResourceLimitError, match="exceeds 255 terms"):
+        expand_tensor(BINARY, 4)
+    monkeypatch.setattr(tensor, "DEFAULT_MAX_TERMS", 256)
+    assert len(expand_tensor(BINARY, 4).terms) == 256
 
 
-def _reference_expand(setting, n, D=None, max_terms=tensor.DEFAULT_MAX_TERMS):
+def _reference_expand(setting, n, D=None):
     # the expansion as two loops, one per setting, choosing coordinate by
     # coordinate: every term of coordinates 0..i-1 is extended by each choice
     # for coordinate i in turn
+    max_terms = tensor.DEFAULT_MAX_TERMS
     if n < 0:
         raise ValueError("n must be nonnegative")
     if setting == BINARY:
@@ -304,22 +312,21 @@ def test_expansion_matches_the_coordinate_by_coordinate_reference(setting, n, D)
     assert expand_tensor(setting, n, D) == _reference_expand(setting, n, D)
 
 
-def _raised(fn, *args, **kwargs):
+def _raised(fn, *args):
     try:
-        fn(*args, **kwargs)
+        fn(*args)
     except (ValueError, ResourceLimitError) as exc:
         return type(exc), str(exc)
     raise AssertionError("no error raised")
 
 
 @pytest.mark.parametrize(
-    "args,kwargs",
-    [((BINARY, -1), {}), ((MOD, -1, 3), {}), ((BINARY, 2, 3), {}), ((MOD, 2), {}),
-     ((MOD, 2, 2), {}), (("ternary", 2, 3), {}), ((BINARY, 4), {"max_terms": 255}),
-     ((MOD, 3, 6), {"max_terms": 100})],
+    "args",
+    [(BINARY, -1), (MOD, -1, 3), (BINARY, 2, 3), (MOD, 2), (MOD, 2, 2), ("ternary", 2, 3),
+     (BINARY, 11), (MOD, 6, 6)],
 )
-def test_expansion_errors_match_the_reference(args, kwargs):
-    assert _raised(expand_tensor, *args, **kwargs) == _raised(_reference_expand, *args, **kwargs)
+def test_expansion_errors_match_the_reference(args):
+    assert _raised(expand_tensor, *args) == _raised(_reference_expand, *args)
 
 
 @pytest.mark.parametrize(
@@ -465,13 +472,13 @@ def test_sampled_mode_catches_global_corruption():
 
 def _first_mismatch(obj):
     # brute-force oracle: the first (x, y, z) in itertools.product order
-    # where the object's value differs from the product form
+    # where the flat reference value differs from the product form
     M = 2 if obj.setting == BINARY else obj.D
     pts = list(itertools.product(range(M), repeat=obj.n))
-    vec = sv if obj.setting == BINARY else (lambda *c: dv(obj.D, *c))
-    for x, y, z in itertools.product(pts, repeat=3):
-        if obj.value_at(x, y, z) != tensor_value(vec(*x), vec(*y), vec(*z)):
-            return x, y, z
+    value = _ref_values(obj, pts, pts, pts)
+    for ix, iy, iz in itertools.product(range(len(pts)), repeat=3):
+        if not _ref_ok(obj, value(ix, iy, iz), pts[ix], pts[iy], pts[iz]):
+            return pts[ix], pts[iy], pts[iz]
     return None
 
 
@@ -509,20 +516,34 @@ def _drop_last_residual_term(dec):
     )
 
 
-def test_verify_exhaustive_resource_guard():
+def test_verify_exhaustive_resource_guard(monkeypatch):
     # the caps bound the pointwise scan, which only a sum that is not the
-    # product form gets
+    # product form gets; they are read at call time
     dec = decompose(expand_tensor(BINARY, 4))
-    assert verify_decomposition(dec, point_cap=10, work_cap=10) == (True, None)
     broken = _drop_last_residual_term(dec)
+    work_cap = tensor.DEFAULT_WORK_CAP
+    tensor._one_coordinate.cache_clear()
+    monkeypatch.setattr(tensor, "DEFAULT_POINT_CAP", 10)
+    # the one-coordinate check scans 8 points with 4 terms each, and it is
+    # all the product form needs
+    monkeypatch.setattr(tensor, "DEFAULT_WORK_CAP", 31)
+    with pytest.raises(ResourceLimitError, match="one-coordinate check over 8 points"):
+        verify_decomposition(dec)
+    monkeypatch.setattr(tensor, "DEFAULT_WORK_CAP", 32)
+    assert verify_decomposition(dec) == (True, None)
+    # the point cap alone
+    monkeypatch.setattr(tensor, "DEFAULT_WORK_CAP", work_cap)
     with pytest.raises(ResourceLimitError):
-        verify_decomposition(broken, point_cap=10)
+        verify_decomposition(broken)
     # 2^12 points times the diagram's edges
+    monkeypatch.setattr(tensor, "DEFAULT_POINT_CAP", 2**12)
     edges = sum(len(node) for level in tensor._diagram(broken)[1]
                 for node in level)
+    monkeypatch.setattr(tensor, "DEFAULT_WORK_CAP", 2**12 * edges - 1)
     with pytest.raises(ResourceLimitError):
-        verify_decomposition(broken, work_cap=2**12 * edges - 1)
-    assert verify_decomposition(broken, work_cap=2**12 * edges) == (False, _first_mismatch(broken))
+        verify_decomposition(broken)
+    monkeypatch.setattr(tensor, "DEFAULT_WORK_CAP", 2**12 * edges)
+    assert verify_decomposition(broken) == (False, _first_mismatch(broken))
 
 
 def test_count_slices_matches_decompose():
@@ -642,6 +663,16 @@ def _ref_ok(obj, value, x, y, z):
                                                   tensor._mask(z), obj.n)
     target = obj.denominator * tensor._eval_mod_tuples(x, y, z)
     return CycElem.from_power_vector(obj.D, value) == CycElem.from_int(obj.D, target)
+
+
+def _ref_value_at(obj, x, y, z):
+    # the flat reference's exact value at one point: an int (binary), or a
+    # Fraction (mod-D), None where the value is irrational
+    value = _ref_values(obj, [x], [y], [z])(0, 0, 0)
+    if obj.setting == BINARY:
+        return value
+    num = CycElem.from_power_vector(obj.D, value).as_int()
+    return None if num is None else Fraction(num, obj.denominator)
 
 
 def _diagram_values(obj, pts):
@@ -985,22 +1016,6 @@ def test_bad_terms_raise_the_reference_messages(setting, n, D, term):
         assert _outcome(tensor._diagram, obj) == _outcome(_reference_diagram, obj)
 
 
-def test_value_at_builds_the_diagram_once(monkeypatch):
-    built = []
-    diagram = tensor._diagram
-    monkeypatch.setattr(tensor, "_diagram", lambda obj: built.append(obj) or diagram(obj))
-    ts = expand_tensor(MOD, 2, 3)
-    dec = decompose(ts)
-    for obj in (ts, dec):
-        assert obj.value_at((0, 1), (1, 1), (2, 1)) == -2
-        assert obj.value_at((0, 1), (1, 1), (2, 2)) == 0
-    assert built == [ts, dec]
-    # the kept evaluator is no field: equality and hashing ignore it
-    fresh = expand_tensor(MOD, 2, 3)
-    assert ts == fresh and hash(ts) == hash(fresh)
-    assert dec == decompose(fresh) and hash(dec) == hash(decompose(fresh))
-
-
 def _wrong_at_all_ones(n):
     # the binary expansion plus x_1..x_n y_1..y_n z_1..z_n, which is nonzero
     # only where every coordinate is 1, as a term sum and as slices
@@ -1042,29 +1057,6 @@ def test_a_sum_over_a_scaled_denominator_passes_without_a_scan(setting, n, D, mo
         assert verify_decomposition(decompose(doubled), mode=mode) == (True, None)
 
 
-def test_value_at_accepts_vectors():
-    for setting, n, D in [(BINARY, 3, None), (MOD, 2, 3), (MOD, 2, 4)]:
-        ts = expand_tensor(setting, n, D)
-        dec = decompose(ts)
-        M = 2 if D is None else D
-        vec = sv if D is None else (lambda *c: dv(D, *c))
-        pts = list(itertools.product(range(M), repeat=n))
-        for x, y, z in [(pts[0], pts[-1], pts[1]), (pts[-1], pts[-1], pts[-1]),
-                        (pts[1], pts[2], pts[-2])]:
-            want = tensor_value(vec(*x), vec(*y), vec(*z))
-            for obj in (ts, dec):
-                assert obj.value_at(vec(*x), vec(*y), vec(*z)) == want
-                assert obj.value_at(x, y, z) == want
-
-
-def test_value_at_rejects_points_outside_the_domain():
-    ts = expand_tensor(MOD, 2, 3)
-    with pytest.raises(ValueError):
-        ts.value_at((0, 1), (1, 1), (0, 3))
-    with pytest.raises(ValueError):
-        ts.value_at((0, 1), (1, 1), (0,))
-
-
 @st.composite
 def evaluation_instances(draw):
     setting = draw(st.sampled_from([BINARY, MOD]))
@@ -1082,8 +1074,8 @@ def evaluation_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(evaluation_instances())
 def test_public_evaluations_agree_at_random_points(instance):
-    # TermSum.value_at, SliceDecomposition.value_at, and the product form
-    # must agree exactly (Fractions in the mod-D setting)
+    # the expansion and its decomposition, by the flat reference, and the
+    # product form must agree exactly (Fractions in the mod-D setting)
     setting, n, D, xt, yt, zt = instance
     ts = expand_tensor(setting, n, D)
     dec = decompose(ts)
@@ -1091,8 +1083,8 @@ def test_public_evaluations_agree_at_random_points(instance):
         want = tensor_value(sv(*xt), sv(*yt), sv(*zt))
     else:
         want = tensor_value(dv(D, *xt), dv(D, *yt), dv(D, *zt))
-    assert ts.value_at(xt, yt, zt) == want
-    assert dec.value_at(xt, yt, zt) == want
+    assert _ref_value_at(ts, xt, yt, zt) == want
+    assert _ref_value_at(dec, xt, yt, zt) == want
 
 
 def test_decomposition_size_closed_form_matches_actual():
@@ -1130,16 +1122,18 @@ def test_slice_counts_within_closed_form_bounds():
 # --- diagonality ------------------------------------------------------------------
 
 
-def test_mod_diagonal_values():
-    fam = Family.of([dv(3, 0, 1), dv(3, 2, 2)])
-    report = check_diagonal(fam)
-    assert report.ok and report.diagonal_values == (4, 4)
-
-
 def test_binary_layer_is_diagonal():
     fam = Family.of([SubsetVector.from_support(2, [1]), SubsetVector.from_support(2, [2])])
     report = check_diagonal(fam)
     assert report.ok
+
+
+def test_mod_layer_is_diagonal():
+    fam = Family.of([dv(3, 0, 1), dv(3, 2, 2)])
+    report = check_diagonal(fam)
+    assert report.ok and report.witness is None
+    # T(m, m, m) = 2^n, nonzero on the diagonal
+    assert [tensor_value(m, m, m) for m in fam] == [4, 4]
 
 
 def test_non_antichain_rejected_with_witness():
@@ -1175,13 +1169,12 @@ def test_diagonality_of_random_free_layers():
 def _cubic_check_diagonal(family):
     """check_diagonal before the pair masks: T on all |F|^3 ordered triples."""
     members = family.members
-    diag = tuple(tensor_value(m, m, m) for m in members)
     for i, x in enumerate(members):
         for j, y in enumerate(members):
             for k, z in enumerate(members):
                 if (tensor_value(x, y, z) != 0) != (i == j == k):
-                    return DiagonalityReport(False, (x, y, z), diag)
-    return DiagonalityReport(True, None, diag)
+                    return DiagonalityReport(False, (x, y, z))
+    return DiagonalityReport(True, None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1224,32 +1217,6 @@ def test_completions_are_the_support_of_t(fam):
         for j, y in enumerate(members):
             want = sum(1 << k for k, z in enumerate(members) if tensor_value(x, y, z) != 0)
             assert completions(fam.setting, masks, codes[i], codes[j], full) == want
-
-
-# --- the constructive diagonal decomposition ------------------------------------------
-
-
-def test_diagonal_decomposition_sizes():
-    single = diagonal_decomposition([("p",)], [2])
-    assert single.slice_count == 1 and single.verify() == (True, None)
-    triple = diagonal_decomposition([(0,), (1,), (2,)], [2, 2, 2])
-    assert triple.slice_count == 3
-    assert triple.verify() == (True, None)
-    empty = diagonal_decomposition([], [])
-    assert empty.slice_count == 0 and empty.verify() == (True, None)
-
-
-def test_diagonal_decomposition_rejects_zero_values():
-    with pytest.raises(ValueError):
-        diagonal_decomposition([(0,)], [0])
-
-
-def test_diagonal_decomposition_from_family_diagonal():
-    fam = Family.of([dv(3, 0, 1), dv(3, 1, 2), dv(3, 2, 0)])
-    report = check_diagonal(fam)
-    dec = diagonal_decomposition([m.coords for m in fam], report.diagonal_values)
-    assert dec.slice_count == len(fam)
-    assert dec.verify() == (True, None)
 
 
 # --- certificates ------------------------------------------------------------------
@@ -1297,6 +1264,22 @@ def test_failed_slice_verification_is_a_certification_error(monkeypatch):
     monkeypatch.setattr(tensor, "_choices", lambda setting, D: [(2, 0, 0, 0), (-1, 1, 0, 0)])
     with pytest.raises(CertificationError, match="not the product form"):
         tensor._structural_slice_count.__wrapped__(BINARY, 1, None)
+
+
+@pytest.mark.parametrize("setting,D", [(BINARY, None), (MOD, 3), (MOD, 4)])
+def test_one_coordinate_check_owns_its_cap(monkeypatch, setting, D):
+    # the D^3-point scan is charged M^3 points times the terms at n = 1,
+    # whichever caller asks for it
+    cube = (2 if D is None else D) ** 3
+    work = cube * len(expand_tensor(setting, 1, D).terms)
+    tensor._one_coordinate.cache_clear()
+    monkeypatch.setattr(tensor, "DEFAULT_WORK_CAP", work - 1)
+    with pytest.raises(ResourceLimitError, match=f"over {cube} points at D={D} is over the cap"):
+        tensor._one_coordinate(setting, D)
+    monkeypatch.setattr(tensor, "DEFAULT_WORK_CAP", work)
+    coef, level, denominator = tensor._one_coordinate(setting, D)
+    assert denominator == (1 if D is None else D)
+    tensor._one_coordinate.cache_clear()
 
 
 def test_choice_table_is_the_one_coordinate_expansion():
