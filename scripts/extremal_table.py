@@ -3,7 +3,8 @@
 closed-form bounds.
 
 The defaults reach binary n=6 and mod-4 n=3, both proved optimal in well
-under a second.  Example:
+under a second.  With `--capset-max 4` the capset rows reach n=4, proved
+optimal (max 20, 605,107 nodes) in about 5 s.  Example:
     python scripts/extremal_table.py --binary-max 4 --mod 3:2 --capset-max 2
 """
 

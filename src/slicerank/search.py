@@ -16,9 +16,12 @@ node whose pool P (its members and the candidates still open to it)
 satisfies sum_v min(m(k), |P & S_jv|) <= |best| for some coordinate j, with
 S_jv the candidates whose coordinate j is v, cannot beat the best family
 and is cut.  |P| <= |best| is the plain size cut.  Both are retested at
-every sibling, and neither drops a branch that could beat the best.  One
-node budget and one deadline cover all levels, and `nodes` counts every
-level.
+every sibling, and neither drops a branch that could beat the best.  In the
+binary setting a slice bound reads one popcount per coordinate: with
+c = |P & S_j0|, |P & S_j1| = |P| - c, and once |P| > |best| the bound
+min(m, c) + min(m, |P| - c) <= |best| holds iff t >= m or
+min(c, |P| - c) <= t, where t = |best| - m.  One node budget covers all
+levels, and `nodes` counts every level.
 
 Sets of candidates are Python ints used as bitmasks.  Each node carries its
 alive mask: the candidates above its largest member that can still join it.
@@ -33,13 +36,18 @@ Symmetry reduction is lex-leader pruning over a generating set (Crawford,
 Ginsberg, Luks and Roy, KR 1996): a partial family is kept only if no
 generator maps it to a lex-smaller family.  The generators are the adjacent
 coordinate swaps and, in the mod-D and capset settings, the adjacent value
-swaps at one coordinate, which preserve the respective predicates.  Each is
-stored as the permutation it induces on candidate indices; since candidate
-order is lexicographic order, comparing sorted index images is comparing
+swaps at one coordinate, which preserve the respective predicates.  Over
+F_3 (capset, and mod-D at D = 3, whose predicate is the same: a distinct
+triple is a sunflower iff x + y + z = 0 at every coordinate) they also
+include the transvections x_i <- x_i + x_j, and so generate the affine
+group AGL(n, 3), which preserves that predicate.  Each is stored as the
+permutation it induces on candidate indices; since candidate order is
+lexicographic order, comparing sorted index images is comparing
 sorted member images.  The search keeps, for every generator, the mask of
 the current partial's image.  Of two index sets of equal size, the one
 holding the lowest bit of their symmetric difference has the lex-smaller
-sorted tuple, so an extension is rejected when some image holds that bit.
+sorted tuple, so an extension is rejected when some image holds that bit;
+an accepted one's image masks, built by that test, become the child's.
 If a symmetry g maps a prefix of the lex-least maximum family F to a
 lex-smaller set, it maps F to a lex-smaller maximum family, so testing any
 set of symmetries never loses the optimum.
@@ -48,7 +56,6 @@ set of symmetries never loses the optimum.
 from __future__ import annotations
 
 import itertools
-import time
 from array import array
 from dataclasses import dataclass, replace
 from random import Random
@@ -75,7 +82,6 @@ class SearchConfig:
     n: int
     D: int | None = None
     node_budget: int = 2_000_000
-    time_budget: float | None = None
     symmetry: bool = True
 
     def __post_init__(self):
@@ -134,9 +140,11 @@ def _bad_triple(cfg_setting: str, x, y, z) -> bool:
 
 
 def _symmetry_generators(cfg: SearchConfig) -> list[array]:
-    """The n - 1 + n(M - 1) generators as permutations of candidate indices:
-    coordinate swaps (i, i+1) and, outside the binary setting, value swaps
-    (a, a+1) at one coordinate (every permutation of F_3 is affine)."""
+    """The generators as permutations of candidate indices: the n - 1
+    coordinate swaps (i, i+1); outside the binary setting, the n(M - 1)
+    value swaps (a, a+1) at one coordinate (every permutation of F_3 is
+    affine); and over F_3, the n(n - 1) transvections x_i <- x_i + x_j,
+    which with the others generate AGL(n, 3)."""
     q, n = cfg.alphabet, cfg.n
     cands = _candidates(cfg)
     w = [q ** (n - 1 - i) for i in range(n)]  # candidate index = sum c[i] * w[i]
@@ -150,20 +158,29 @@ def _symmetry_generators(cfg: SearchConfig) -> list[array]:
             for i in range(n)
             for a in range(q - 1)
         ]
+    if q == 3:  # capset, or mod-D at D = 3: the same predicate
+        gens += [
+            array("H", [x + ((c[i] + c[j]) % 3 - c[i]) * w[i] for x, c in enumerate(cands)])
+            for i in range(n)
+            for j in range(n)
+            if i != j
+        ]
     return gens
 
 
-def _extends_canonically(images: list, group, q: int, i: int) -> bool:
-    """Is the partial with mask q, extended by candidate i, lex-least among
-    its images under `group`?  images[g] is the mask of group[g] applied to
-    the partial."""
+def _canonical_images(images: list, group, q: int, i: int):
+    """The images of the partial with mask q extended by candidate i, or
+    None if one is lex-smaller than it.  images[g] is the mask of group[g]
+    applied to the partial."""
     q |= 1 << i
+    out = []
     for x, perm in zip(images, group):
         x |= 1 << perm[i]
         d = x ^ q
         if x & d & -d:  # the lowest differing candidate is in the image
-            return False
-    return True
+            return None
+        out.append(x)
+    return out
 
 
 class _Budget(Exception):
@@ -175,17 +192,15 @@ class BoundViolationError(RuntimeError):
 
 
 class _Search:
-    """One search's nodes, deadline and kill masks, shared by its levels."""
+    """One search's nodes and kill masks, shared by its levels."""
 
     def __init__(self, cfg: SearchConfig, cands):
         self.cfg = cfg
         self.cands = cands
         self.masks = value_masks(cands, cfg.n)
         self.kills: dict[int, int] = {}
+        self.binary = cfg.setting == BINARY
         self.nodes = 0
-        self.deadline = None
-        if cfg.time_budget is not None:
-            self.deadline = time.monotonic() + cfg.time_budget
 
     def level(self, k: int, sub_max: int, group) -> None:
         """Leave in `best` the least maximum family of dimension k, given
@@ -194,16 +209,17 @@ class _Search:
         self.sub_max = sub_max
         self.group = group
         self.images = [0] * len(group) if group is not None else None
-        # one list per coordinate j of the level: the masks S_jv over the values v
-        self.slices = [list(col.values()) for col in self.masks[self.cfg.n - k:]]
+        # one list per coordinate j of the level: the masks S_jv over the values v;
+        # binary keeps one mask per coordinate, as within the level the other
+        # value's mask is the rest of the pool
+        slices = [list(col.values()) for col in self.masks[self.cfg.n - k:]]
+        self.slices = [col[0] for col in slices] if self.binary else slices
         self._visit(())
         self.run((), 0, (1 << self.cfg.alphabet**k) - 1)
 
     def _visit(self, partial: tuple):
         self.nodes += 1
         if self.nodes > self.cfg.node_budget:
-            raise _Budget
-        if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Budget
         # preorder is lex order, so the first family of a size is the least
         if len(partial) > len(self.best):
@@ -220,19 +236,26 @@ class _Search:
             self.kills[key] = mask
         return mask
 
-    def _toggle(self, i: int) -> None:
-        # perm is a bijection and i is never in the partial, so XOR adds i's
-        # image on descent and removes it again on return
-        images = self.images
-        for g, perm in enumerate(self.group):
-            images[g] ^= 1 << perm[i]
-
     def _beaten(self, pool: int) -> bool:
         """Does the size cut or a slice bound show that no free family within
         `pool` beats the best one?"""
         size, m = len(self.best), self.sub_max
-        if pool.bit_count() <= size:
+        count = pool.bit_count()
+        if count <= size:
             return True
+        if self.binary:
+            # min(m, c) + min(m, count - c) <= size, with c the count at value
+            # 0 or 1: as count > size, iff t >= m or min(c, count - c) <= t
+            t = size - m
+            if t < 0:
+                return False
+            if t >= m:
+                return bool(self.slices)
+            for s in self.slices:
+                c = (pool & s).bit_count()
+                if c <= t or count - c <= t:
+                    return True
+            return False
         for col in self.slices:
             if sum([min(m, (pool & s).bit_count()) for s in col]) <= size:
                 return True
@@ -250,18 +273,21 @@ class _Search:
             low = rest & -rest
             rest ^= low
             i = low.bit_length() - 1
-            if group is not None and not _extends_canonically(self.images, group, q, i):
-                continue
+            if group is not None:
+                images = _canonical_images(self.images, group, q, i)
+                if images is None:
+                    continue
             dead = 0
             for a in partial:
                 dead |= self._kill(a, i)
             extended = partial + (i,)
             self._visit(extended)
-            if group is not None:
-                self._toggle(i)
-            self.run(extended, q | low, rest & ~dead)
-            if group is not None:
-                self._toggle(i)
+            if group is None:
+                self.run(extended, q | low, rest & ~dead)
+            else:
+                images, self.images = self.images, images
+                self.run(extended, q | low, rest & ~dead)
+                self.images = images
 
 
 def _to_family(cfg: SearchConfig, members) -> Family:

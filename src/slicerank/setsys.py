@@ -72,14 +72,6 @@ class SubsetVector:
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if (self.bits >> i) & 1)
-
-    def intersection(self, other: "SubsetVector") -> "SubsetVector":
-        if self.n != other.n:
-            raise ValueError("mismatched ground-set sizes")
-        return SubsetVector(self.n, self.bits & other.bits)
-
     def to_line(self) -> str:
         return "".join(str(c) for c in self.coords())
 

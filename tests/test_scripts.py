@@ -27,7 +27,7 @@ def test_extremal_table_rows():
         ["binary", "3", "5", "True", "20", "48"],
         ["mod-3", "1", "2", "True", "5", "3"],
         ["capset", "1", "2", "True", "5", "3"],
-        ["capset", "2", "4", "True", "14", "9"],
+        ["capset", "2", "4", "True", "11", "9"],
     ]
 
 

@@ -1,10 +1,10 @@
 import itertools
 import math
-import time
 from array import array
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slicerank import bounds, cli
 from slicerank.bounds import mod_count_bound, subset_family_bound
@@ -16,7 +16,7 @@ from slicerank.search import (
     _bad_triple,
     _Budget,
     _candidates,
-    _extends_canonically,
+    _canonical_images,
     _Search,
     _symmetry_generators,
     _to_family,
@@ -113,9 +113,9 @@ def test_budget_exhaustion_flags_incomplete():
     assert is_sunflower_free(result.witness)
 
 
-def test_time_budget_exhaustion():
-    result = max_free_family(SearchConfig(BINARY, 4, time_budget=0.0))
-    assert not result.optimal
+def test_node_budget_stops_a_symmetric_search():
+    result = max_free_family(SearchConfig(BINARY, 4, node_budget=1))
+    assert not result.optimal and result.nodes == 2
 
 
 # --- the search contract: counts, witnesses and canonicity -----------------------
@@ -144,9 +144,9 @@ _BINARY_6_WITNESS = (
             SearchConfig(BINARY, 4, symmetry=False), 8, True, 66,
             "0000 0011 0101 0110 1011 1101 1110 1111",
         ),
-        (SearchConfig(MOD, 2, D=3), 4, True, 14, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(MOD, 2, D=3), 4, True, 11, "0,0 0,1 1,0 1,1"),
         (SearchConfig(MOD, 2, D=4), 4, True, 15, "0,0 0,1 1,0 1,1"),
-        (SearchConfig(CAPSET, 2), 4, True, 14, "0,0 0,1 1,0 1,1"),
+        (SearchConfig(CAPSET, 2), 4, True, 11, "0,0 0,1 1,0 1,1"),
         (SearchConfig(CAPSET, 2, symmetry=False), 4, True, 41, "0,0 0,1 1,0 1,1"),
         (
             SearchConfig(BINARY, 6, node_budget=300), 15, False, 301,
@@ -180,37 +180,100 @@ def test_search_results_are_pinned(cfg, max_size, optimal, nodes, witness):
     assert " ".join(m.to_line() for m in result.witness) == witness
 
 
+@pytest.mark.parametrize("n", range(4))
+def test_capset_and_mod3_searches_agree(n):
+    # over F_3 a distinct triple is a sunflower iff x + y + z = 0 everywhere
+    capset = max_free_family(SearchConfig(CAPSET, n))
+    mod3 = max_free_family(SearchConfig(MOD, n, D=3))
+    assert capset.optimal
+    assert (capset.max_size, capset.optimal, capset.nodes, capset.witness) == (
+        mod3.max_size, mod3.optimal, mod3.nodes, mod3.witness
+    )
+
+
+def _reference_beaten(columns, size, m, pool):
+    """The cut before the one-popcount binary form: the size cut, then the
+    slice bound summed over each coordinate's value masks."""
+    if pool.bit_count() <= size:
+        return True
+    for col in columns:
+        if sum([min(m, (pool & s).bit_count()) for s in col]) <= size:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k", range(7))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_binary_cut_matches_reference(k, data):
+    n = 6
+    cfg = SearchConfig(BINARY, n)
+    search = _Search(cfg, _candidates(cfg))
+    search.level(k, 0, None)  # m(k - 1) = 0 cuts level k >= 1 at its root
+    columns = [list(col.values()) for col in search.masks[n - k:]]
+    level = 2**k
+    for _ in range(8):
+        pool = data.draw(st.integers(0, (1 << level) - 1), label="pool")
+        size = data.draw(st.integers(0, level), label="size")
+        m = data.draw(st.integers(0, level), label="sub_max")
+        search.best, search.sub_max = tuple(range(size)), m
+        assert search._beaten(pool) == _reference_beaten(columns, size, m, pool)
+
+
+def _affine_group(n):
+    """AGL(n, 3) as maps of members, x -> Ax + b with A invertible, found by
+    keeping the matrices that are one-to-one on the points."""
+    points = list(itertools.product(range(3), repeat=n))
+
+    def linear(rows, x):
+        return tuple(sum(a * c for a, c in zip(row, x)) % 3 for row in rows)
+
+    group = []
+    for entries in itertools.product(range(3), repeat=n * n):
+        rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+        if len({linear(rows, x) for x in points}) == len(points):
+            group += [
+                lambda x, rows=rows, b=b: tuple((y + c) % 3 for y, c in zip(linear(rows, x), b))
+                for b in points
+            ]
+    return group
+
+
 def _reference_group(cfg):
-    """Symmetries as (coordinate permutation, alphabet maps) pairs, with no
-    alphabet maps in the binary setting."""
-    coord_perms = list(itertools.permutations(range(cfg.n)))
+    """Symmetries as maps of members: over F_3 at n <= 2 all of AGL(n, 3);
+    otherwise the coordinate permutations, composed outside the binary
+    setting with an alphabet permutation at each coordinate."""
+    n = cfg.n
+    if cfg.alphabet == 3 and n <= 2:
+        return _affine_group(n)
+    coord_perms = list(itertools.permutations(range(n)))
     if cfg.setting == BINARY:
-        return [(p, None) for p in coord_perms]
+        return [lambda x, p=p: tuple(x[p[i]] for i in range(n)) for p in coord_perms]
     value_perms = list(itertools.permutations(range(cfg.alphabet)))
     return [
-        (p, vmaps)
+        lambda x, p=p, vmaps=vmaps: tuple(vmaps[i][x[p[i]]] for i in range(n))
         for p in coord_perms
-        for vmaps in itertools.product(value_perms, repeat=cfg.n)
+        for vmaps in itertools.product(value_perms, repeat=n)
     ]
 
 
-def _reference_apply(sym, member):
-    p, vmaps = sym
-    if vmaps is None:
-        return tuple(member[p[i]] for i in range(len(member)))
-    return tuple(vmaps[i][member[p[i]]] for i in range(len(member)))
-
-
 def _reference_is_canonical(members: tuple, group) -> bool:
-    return all(tuple(sorted(_reference_apply(s, m) for m in members)) >= members for s in group)
+    return all(tuple(sorted(s(m) for m in members)) >= members for s in group)
 
 
 def _reference_perms(cfg, cands):
     """The full group of `_reference_group` as permutations of candidate
     indices."""
     index = {c: j for j, c in enumerate(cands)}
-    return [array("H", [index[_reference_apply(s, c)] for c in cands])
-            for s in _reference_group(cfg)]
+    return [array("H", [index[s(c)] for c in cands]) for s in _reference_group(cfg)]
+
+
+@pytest.mark.parametrize("n,order", [(0, 1), (1, 6), (2, 432)])
+def test_affine_reference_group_has_agl_order(n, order):
+    # |AGL(n, 3)| = 3^n |GL(n, 3)|: 6 at n = 1 and 9 * 48 at n = 2
+    cands = _candidates(SearchConfig(CAPSET, n))
+    perms = _reference_perms(SearchConfig(CAPSET, n), cands)
+    assert len({tuple(p) for p in perms}) == len(perms) == order
 
 
 @pytest.mark.parametrize(
@@ -231,7 +294,9 @@ def test_canonicity_matches_member_orbits(cfg):
     group = _symmetry_generators(cfg)
     reference = _reference_group(cfg)
     full = {tuple(perm) for perm in _reference_perms(cfg, cands)}
-    assert len(group) == cfg.n - 1 + (0 if cfg.setting == BINARY else cfg.n * (cfg.alphabet - 1))
+    n, M = cfg.n, cfg.alphabet
+    transvections = n * (n - 1) if M == 3 else 0
+    assert len(group) == n - 1 + (0 if cfg.setting == BINARY else n * (M - 1)) + transvections
     for perm in group:
         assert tuple(perm) in full
         for x, y, z in itertools.combinations(range(len(cands)), 3):
@@ -245,7 +310,10 @@ def test_canonicity_matches_member_orbits(cfg):
                 *prefix, i = partial
                 images = [sum(1 << perm[j] for j in prefix) for perm in group]
                 q = sum(1 << j for j in prefix)
-                verdict = _extends_canonically(images, group, q, i)
+                extended = _canonical_images(images, group, q, i)
+                verdict = extended is not None
+                if verdict:  # the images of the extended partial
+                    assert extended == [sum(1 << perm[j] for j in partial) for perm in group]
             else:
                 verdict = True  # the root is never tested
             if _reference_is_canonical(members, reference):
@@ -270,15 +338,10 @@ class _ReferenceSearch:
         self.cfg, self.cands, self.group = cfg, cands, group
         self.nodes = 0
         self.best = ()
-        self.deadline = None
-        if cfg.time_budget is not None:
-            self.deadline = time.monotonic() + cfg.time_budget
 
     def visit(self, partial):
         self.nodes += 1
         if self.nodes > self.cfg.node_budget:
-            raise _Budget
-        if self.deadline is not None and time.monotonic() > self.deadline:
             raise _Budget
         if len(partial) > len(self.best):
             self.best = partial
@@ -321,7 +384,6 @@ def _reference_search(cfg):
     + [SearchConfig(CAPSET, n) for n in (2, 3)]
     + [SearchConfig(MOD, 2, D=D) for D in (3, 4, 5)]
     + [SearchConfig(BINARY, 6, node_budget=b) for b in (1, 5, 37, 300)]
-    + [SearchConfig(BINARY, 4, time_budget=0.0)]
     + [SearchConfig(BINARY, 6, node_budget=b, symmetry=False) for b in (37, 5000)],
     ids=str,
 )
@@ -336,8 +398,7 @@ def test_bitset_search_matches_reference_loop(cfg):
         assert (result.max_size, result.optimal, result.witness) == (max_size, True, witness)
         return
     assert not result.optimal and len(result.witness) == result.max_size
-    if cfg.time_budget is None:
-        assert result.nodes == cfg.node_budget + 1
+    assert result.nodes == cfg.node_budget + 1
     assert is_sunflower_free(result.witness)
     validate_against_bounds(result, cfg)
 

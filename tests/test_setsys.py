@@ -53,9 +53,7 @@ def test_subset_vector_basics():
     v = SubsetVector.from_support(4, [1, 3])
     assert v.coords() == (1, 0, 1, 0)
     assert v.weight == 2
-    assert v.support() == (1, 3)
     assert v.to_line() == "1010"
-    assert v.intersection(SubsetVector.from_support(4, [3, 4])).support() == (3,)
 
 
 def test_vector_validation():
