@@ -206,6 +206,18 @@ def format_float(v: float | None) -> str:
 
 
 def report_row(r: BoundReport) -> list[str]:
+    """The row's CSV cells.  Raises ValueError when the exact value has a
+    part past Python's integer string limit (sys.get_int_max_str_digits)."""
+    # 0, no limit, on Pythons older than the limit (before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if r.exact is not None and limit:
+        part = max(abs(r.exact.numerator), r.exact.denominator)
+        # 2^(3 limit) < 10^limit: only a longer part needs the exact test
+        if part.bit_length() > 3 * limit and part >= 10**limit:
+            raise ValueError(
+                f"the exact {r.name} value at n={r.params.get('n')} has more than {limit}"
+                " digits, past the integer string limit"
+            )
     if r.exact is None:
         exact = ""
     elif isinstance(r.exact, Fraction) and r.exact.denominator != 1:

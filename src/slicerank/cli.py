@@ -235,9 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting", choices=["binary", "mod-d"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--D", type=int, default=None)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--exhaustive", action="store_true", help="full domain (default)")
-    group.add_argument("--samples", type=int, default=None, help="seeded random points")
+    p.add_argument("--samples", type=int, default=None,
+                   help="seeded random points (default: the full domain)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_tensor)
 

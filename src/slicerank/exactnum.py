@@ -1,18 +1,16 @@
-"""Exact arithmetic for character sums over Z/DZ.
+"""Exact zero-testing in the cyclotomic integers Z[zeta_D].
 
-Big integers and rationals come straight from the standard library (``int``,
-``fractions.Fraction``).  What this module adds is the ring of cyclotomic
-integers Z[zeta_D], stored exactly: an element is an integer coefficient
-vector on the power basis 1, zeta, ..., zeta^(phi(D)-1), kept reduced modulo
-the D-th cyclotomic polynomial.  Reducing modulo Phi_D rather than X^D - 1
-keeps the representation an integral domain, so zero-testing -- the whole
-point of exact verification -- is unambiguous.
+An element is an integer bucket vector over the powers 1, zeta, ...,
+zeta^(D-1).  Reducing it modulo the D-th cyclotomic polynomial Phi_D gives
+its coefficients on the power basis 1, zeta, ..., zeta^(phi(D)-1), which are
+all zero exactly when the element is.  Reducing modulo Phi_D rather than
+X^D - 1 keeps the representation an integral domain, so zero-testing -- the
+whole point of exact verification -- is unambiguous.  At D = 1, Phi_1 = X - 1
+leaves a single bucket as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -65,12 +63,9 @@ def cyclotomic_poly(D: int) -> tuple[int, ...]:
     return tuple(quot)
 
 
-def phi_degree(D: int) -> int:
-    """Degree of Phi_D, i.e. Euler's totient of D."""
-    return len(cyclotomic_poly(D)) - 1
-
-
-def _reduce_power_vector(D: int, vec) -> tuple[int, ...]:
+def reduce_power_vector(D: int, vec) -> tuple[int, ...]:
+    """The element sum_k vec[k] zeta_D^k on the power basis 1, zeta, ...,
+    zeta^(phi(D)-1); it is zero iff every coefficient is."""
     # fold X^D = 1 first (valid since Phi_D divides X^D - 1), then take the
     # monic remainder mod Phi_D
     folded = [0] * D
@@ -79,91 +74,11 @@ def _reduce_power_vector(D: int, vec) -> tuple[int, ...]:
             folded[k % D] += c
     phi = cyclotomic_poly(D)
     deg = len(phi) - 1
+    # Phi_D is often sparse (Phi_40 has 5 nonzero coefficients of 17)
+    terms = [(j - deg, p) for j, p in enumerate(phi) if p]
     for i in range(D - 1, deg - 1, -1):
         c = folded[i]
         if c:
-            for j in range(deg + 1):
-                folded[i - deg + j] -= c * phi[j]
+            for j, p in terms:
+                folded[i + j] -= c * p
     return tuple(folded[:deg])
-
-
-# ---------------------------------------------------------------------------
-# the ring Z[zeta_D]
-
-
-@dataclass(frozen=True)
-class CycElem:
-    """An element of Z[zeta_D] in canonical reduced form."""
-
-    D: int
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def from_power_vector(cls, D: int, vec) -> "CycElem":
-        return cls(D, _reduce_power_vector(D, vec))
-
-    @classmethod
-    def from_int(cls, D: int, value: int) -> "CycElem":
-        return cls.from_power_vector(D, (value,))
-
-    def _check(self, other: "CycElem") -> None:
-        if self.D != other.D:
-            raise ValueError(f"mixed moduli: {self.D} vs {other.D}")
-
-    def __add__(self, other: "CycElem") -> "CycElem":
-        self._check(other)
-        return CycElem(self.D, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CycElem") -> "CycElem":
-        self._check(other)
-        return CycElem(self.D, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CycElem":
-        return CycElem(self.D, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "CycElem") -> "CycElem":
-        self._check(other)
-        conv = _poly_mul(list(self.coeffs), list(other.coeffs))
-        return CycElem.from_power_vector(self.D, conv)
-
-    def conj(self) -> "CycElem":
-        """Complex conjugation, realized as zeta -> zeta^(-1)."""
-        vec = [0] * self.D
-        for k, c in enumerate(self.coeffs):
-            if c:
-                vec[(self.D - k) % self.D] += c
-        return CycElem.from_power_vector(self.D, vec)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def as_int(self) -> int | None:
-        """The element as a plain integer, or None if it is irrational."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
-
-def zeta_pow(D: int, e: int) -> CycElem:
-    """zeta_D to the power e (any integer exponent, folded mod D)."""
-    vec = [0] * D
-    vec[e % D] = 1
-    return CycElem.from_power_vector(D, vec)
-
-
-def orthogonality_sum(D: int, t: int) -> Fraction:
-    """(1/D) * sum over all characters chi of chi(t), computed exactly.
-
-    Equals 1 when t = 0 and 0 otherwise; the reduction to a rational must
-    succeed exactly or something is broken upstream.
-    """
-    if not 0 <= t < D:
-        raise ValueError("argument must lie in [0, D)")
-    acc = CycElem.from_int(D, 0)
-    for j in range(D):
-        acc = acc + zeta_pow(D, j * t)
-    value = acc.as_int()
-    if value is None:
-        raise ArithmeticError("character sum failed to reduce to an integer")
-    return Fraction(value, D)
-

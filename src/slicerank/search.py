@@ -123,6 +123,12 @@ def _candidates(cfg: SearchConfig):
     return list(itertools.product(range(cfg.alphabet), repeat=cfg.n))
 
 
+def _rule(cfg: SearchConfig) -> str:
+    """The setting's `setsys.completions` rule: over F_3 the mod-D rule is
+    the capset rule x + y + z = 0."""
+    return MOD if cfg.setting == CAPSET else cfg.setting
+
+
 def _bad_triple(cfg_setting: str, x, y, z) -> bool:
     """Is (x, y, z) a forbidden triple?  The triple-by-triple oracle of
     `brute_force_max`, kept apart from `setsys.completions` on purpose."""
@@ -198,6 +204,7 @@ class _Search:
         self.cfg = cfg
         self.cands = cands
         self.masks = value_masks(cands, cfg.n)
+        self.rule = _rule(cfg)
         self.kills: dict[int, int] = {}
         self.binary = cfg.setting == BINARY
         self.nodes = 0
@@ -232,7 +239,7 @@ class _Search:
         mask = self.kills.get(key)
         if mask is None:
             above = ((1 << total) - 1) & -(2 << b)
-            mask = completions(self.cfg.setting, self.masks, self.cands[a], self.cands[b], above)
+            mask = completions(self.rule, self.masks, self.cands[a], self.cands[b], above)
             self.kills[key] = mask
         return mask
 
@@ -356,6 +363,7 @@ def greedy_witness(cfg: SearchConfig, seed: int) -> Family:
     same one for the same seed."""
     cands = _candidates(cfg)
     masks = value_masks(cands, cfg.n)
+    rule = _rule(cfg)
     order = list(range(len(cands)))
     Random(seed).shuffle(order)
     alive = (1 << len(cands)) - 1  # the candidates no member pair rules out
@@ -363,7 +371,7 @@ def greedy_witness(cfg: SearchConfig, seed: int) -> Family:
     for c in order:
         if alive >> c & 1:
             for a in members:
-                alive &= ~completions(cfg.setting, masks, cands[a], cands[c], alive)
+                alive &= ~completions(rule, masks, cands[a], cands[c], alive)
             members.append(c)
     return _to_family(cfg, [cands[c] for c in members])
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 BINARY = "binary"
 MOD = "mod-d"
-CAPSET = "capset"  # the progression rule x + y + z = 0 over F_3
+CAPSET = "capset"  # a search setting: capsets of F_3^n, whose triple rule is MOD at D = 3
 
 
 class FamilyFormatError(ValueError):
@@ -55,15 +55,6 @@ class SubsetVector:
             if c:
                 bits |= 1 << i
         return cls(len(coords), bits)
-
-    @classmethod
-    def from_support(cls, n: int, elements: Iterable[int]) -> "SubsetVector":
-        bits = 0
-        for e in elements:
-            if not 1 <= e <= n:
-                raise ValueError(f"element {e} outside 1..{n}")
-            bits |= 1 << (e - 1)
-        return cls(n, bits)
 
     @property
     def weight(self) -> int:
@@ -254,8 +245,8 @@ def completions(rule: str, masks: list[dict[int, int]], x, y, within: int) -> in
     * BINARY: 0 if a != b, 1 if a = b = 1, any if a = b = 0 -- no
       coordinate holds exactly two ones;
     * MOD: a if a = b, neither a nor b otherwise -- no coordinate holds
-      exactly two equal entries;
-    * CAPSET: -(a + b) mod 3 -- x + y + z = 0 over F_3.
+      exactly two equal entries.  At D = 3 that digit is -(a + b) mod 3, so
+      over F_3 the rule is x + y + z = 0, the progression (capset) rule.
 
     On distinct triples BINARY and MOD are `triple_is_sunflower`; on every
     triple, repeated members included, they say that T(x, y, z) != 0 for
@@ -277,11 +268,6 @@ def completions(rule: str, masks: list[dict[int, int]], x, y, within: int) -> in
                 m &= col.get(a, 0)
             else:
                 m &= ~(col.get(a, 0) | col.get(b, 0))
-            if not m:
-                break
-    elif rule == CAPSET:
-        for col, a, b in zip(masks, x, y):
-            m &= col.get(-(a + b) % 3, 0)
             if not m:
                 break
     else:
@@ -339,17 +325,13 @@ def find_sunflower(family: Family):
     a sunflower in one mask; the lowest bit of the first nonzero mask is the
     least triple, the one a scan of `itertools.combinations` would return
     first.  That is O(|F|^2 n) mask operations instead of |F|^3 triples."""
-    return _first_triple(family, family.setting)
-
-
-def _first_triple(family: Family, rule: str):
     members = family.members
     codes = [_key(m) for m in members]
     masks = value_masks(codes, family.n)
     full = (1 << len(codes)) - 1
     for a, x in enumerate(codes):
         for b in range(a + 1, len(codes) - 1):
-            third = completions(rule, masks, x, codes[b], full & -(2 << b))
+            third = completions(family.setting, masks, x, codes[b], full & -(2 << b))
             if third:
                 return members[a], members[b], members[(third & -third).bit_length() - 1]
     return None
@@ -376,10 +358,11 @@ def layer_split(family: Family) -> dict[int, Family]:
 
 def find_progression(family: Family):
     """Lexicographically least distinct triple with x + y + z = 0 mod 3
-    (equivalently a three-term arithmetic progression), or None."""
+    (equivalently a three-term arithmetic progression), or None: over F_3
+    that is the least sunflower."""
     if family.setting != MOD or family.D != 3:
         raise ValueError("capset predicates require the mod-3 setting")
-    return _first_triple(family, CAPSET)
+    return find_sunflower(family)
 
 
 def is_capset(family: Family) -> bool:
@@ -390,7 +373,6 @@ def is_capset(family: Family) -> bool:
 # the pair encoding {0,1}^(2n) <-> {0,1,2,3}^n
 
 _PAIR_TO_SYMBOL = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
-_SYMBOL_TO_PAIR = {v: k for k, v in _PAIR_TO_SYMBOL.items()}
 
 
 @dataclass(frozen=True)
@@ -410,15 +392,6 @@ class EncodedFamily:
                 raise ValueError("duplicate encoded member")
             seen.add(m)
         object.__setattr__(self, "members", tuple(sorted(self.members)))
-
-    def decode(self) -> Family:
-        vecs = []
-        for m in self.members:
-            coords: list[int] = []
-            for s in m:
-                coords.extend(_SYMBOL_TO_PAIR[s])
-            vecs.append(SubsetVector.from_coords(coords))
-        return Family(BINARY, 2 * self.n, None, tuple(vecs))
 
 
 def pair_encode(family: Family) -> EncodedFamily:

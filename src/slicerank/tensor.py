@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import binomial_tail, mod_count_bound, subset_family_bound
-from .exactnum import CycElem
+from .exactnum import reduce_power_vector
 from .setsys import (
     BINARY,
     MOD,
@@ -41,7 +41,6 @@ from .setsys import (
     completions,
     find_sunflower,
     layer_split,
-    parse_family,
     value_masks,
 )
 
@@ -70,24 +69,15 @@ class NotSunflowerFree(CertificationError):
 # pointwise evaluation
 
 
-def _eval_binary_masks(x: int, y: int, z: int, n: int) -> int:
-    mask = (1 << n) - 1
-    threes = x & y & z
-    pairs = ((x & y) | (y & z) | (x & z)) & ~threes
-    if pairs:
-        return 0
-    zeros = (~(x | y | z)) & mask
-    value = 1 << zeros.bit_count()
-    return -value if threes.bit_count() & 1 else value
-
-
-def _eval_mod_tuples(x, y, z) -> int:
+def _product(setting: str, x, y, z) -> int:
+    """T at three coordinate tuples: the product over coordinates of
+    2 - a - b - c (binary) resp. [a=b] + [b=c] + [a=c] - 1 (mod-D)."""
+    binary = setting == BINARY
     value = 1
     for a, b, c in zip(x, y, z):
-        equal = (a == b) + (b == c) + (a == c)
-        if equal == 1:
-            return 0
-        value *= 2 if equal == 3 else -1
+        value *= 2 - a - b - c if binary else (a == b) + (b == c) + (a == c) - 1
+        if not value:
+            break
     return value
 
 
@@ -96,12 +86,12 @@ def tensor_value(x, y, z) -> int:
     if isinstance(x, SubsetVector):
         if x.n != y.n or x.n != z.n:
             raise ValueError("mismatched dimensions")
-        return _eval_binary_masks(x.bits, y.bits, z.bits, x.n)
+        return _product(BINARY, x.coords(), y.coords(), z.coords())
     if x.n != y.n or x.n != z.n or x.D != y.D or x.D != z.D:
         raise ValueError("mismatched dimensions")
     if x.D < 3:
         raise ValueError("the mod-D tensor needs D >= 3")
-    return _eval_mod_tuples(x.coords, y.coords, z.coords)
+    return _product(MOD, x.coords, y.coords, z.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +112,6 @@ class TermSum:
     D: int | None
     denominator: int
     terms: tuple[tuple[int, int, int, int], ...]
-
-
-def _mask(coords) -> int:
-    bits = 0
-    for i, c in enumerate(coords):
-        if c:
-            bits |= 1 << i
-    return bits
 
 
 def _choices(setting: str, D: int | None) -> list[tuple[int, int, int, int]]:
@@ -329,12 +311,13 @@ def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
 # to the chain, and any other diagram is never taken as proof.  A pointwise
 # scan of it then only names the witness.
 #
-# The scan evaluates the diagram bottom-up at each point.  Binary values are
-# integers: an edge counts iff its monomial divides the point, i.e. its
-# exponents are at most the point's coordinates.  Mod-D values are
-# power-basis bucket vectors, bucket r holding the numerator of zeta_D^r: an
-# edge adds its child's vector rotated by the character phase
-# label . (x_k, y_k, z_k) mod D.
+# The scan evaluates the diagram bottom-up at each point, with one evaluator
+# for both settings: a value is a bucket vector over R phases, bucket r
+# holding the numerator of zeta_R^r, and an edge adds its child's vector
+# rotated by its phase.  A monomial is the one-phase case, R = 1: a binary
+# edge adds at phase 0 when its monomial divides the point.  A mod-D edge
+# adds at the character phase label . (x_k, y_k, z_k) mod D, R = D.  A point
+# is decided by reducing value - denominator * T mod Phi_R to zero.
 
 
 def _alphabet(obj) -> int:
@@ -501,16 +484,27 @@ def _is_product(obj, diagram) -> bool:
 
 
 def _evaluator(obj, diagram):
-    """value(x, y, z): the diagram's value at three coordinate tuples, an
-    int in the binary setting and a bucket vector (a fresh list per call)
-    over obj.D in the mod-D setting.  The node values of level k depend only
-    on the coordinates from k on, so they are computed one level at a time
-    from the last, with every edge decoded once up front."""
+    """(R, value): value(x, y, z) is the diagram's value at three coordinate
+    tuples, a fresh bucket vector over R phases (R = 1 binary, D mod-D).
+    The node values of level k depend only on the coordinates from k on, so
+    they are computed one level at a time from the last, with every edge
+    decoded once up front.
+
+    An edge's slot is label . (a', b', c') mod K, its phase when below R.
+    Mod-D reads a' = a with K = D: the slot is the character phase.  Binary
+    reads a' = 1 - a with K = 4: the slot counts the label's exponents above
+    the point's coordinates, so it is 0 iff the monomial divides the point."""
     coef, levels = diagram
     if not coef:
         # a cancelled sum has no nodes left: it is 0 everywhere
         levels = []
     M = _alphabet(obj)
+    if obj.setting == BINARY:
+        R, K, read = 1, 4, (1, 0)
+    else:
+        R, K, read = M, M, range(M)
+    # rotations[r][p]: the bucket of phase r + p
+    rotations = [[(r + p) % R for p in range(R)] for r in range(R)]
     # per node, last level first: (child, [(x, y, z label digits, coef)])
     # for each child its edges lead to
     decoded = []
@@ -527,44 +521,28 @@ def _evaluator(obj, diagram):
             level.append(list(by_child.items()))
         decoded.append(level)
 
-    if obj.setting == BINARY:
-
-        def value(x, y, z):
-            vals = [coef]
-            for level, a, b, c in zip(decoded, x[::-1], y[::-1], z[::-1]):
-                vals = [
-                    sum([vals[j] * sum([cf for ex, ey, ez, cf in edges
-                                        if ex <= a and ey <= b and ez <= c])
-                         for j, edges in node])
-                    for node in level
-                ]
-            return vals[0]
-
-        return value
-
-    D = obj.D
-
     def value(x, y, z):
-        vals = [[coef] + [0] * (D - 1)]
+        vals = [[coef] + [0] * (R - 1)]
         for level, a, b, c in zip(decoded, x[::-1], y[::-1], z[::-1]):
+            a, b, c = read[a], read[b], read[c]
             nxt = []
             for node in level:
-                out = [0] * D
+                out = [0] * R
                 for j, edges in node:
-                    # the edges' coefficients by phase, times the child's
-                    # vector in Z[t]/(t^D - 1)
-                    poly = [0] * D
+                    # the edges' coefficients by slot, times the child's
+                    # vector in Z[t]/(t^R - 1)
+                    poly = [0] * K
                     for ex, ey, ez, cf in edges:
-                        poly[(ex * a + ey * b + ez * c) % D] += cf
+                        poly[(ex * a + ey * b + ez * c) % K] += cf
                     for r, w in enumerate(vals[j]):
                         if w:
-                            for p, cf in enumerate(poly, r):
-                                out[p % D] += cf * w
+                            for p, cf in zip(rotations[r], poly):
+                                out[p] += cf * w
                 nxt.append(out)
             vals = nxt
         return vals[0]
 
-    return value
+    return R, value
 
 
 def _all_points(M: int, n: int):
@@ -582,26 +560,14 @@ def _sampled_tuples(M: int, n: int, samples: int, seed: int):
 
 def _witness(obj, diagram, points):
     """The first of the (x, y, z) coordinate-tuple triples at which the
-    diagram's value differs from T, or None."""
-    value = _evaluator(obj, diagram)
-    n = obj.n
-    if obj.setting == BINARY:
-
-        def ok(x, y, z):
-            return value(x, y, z) == _eval_binary_masks(_mask(x), _mask(y), _mask(z), n)
-
-    else:
-        D, denominator = obj.D, obj.denominator
-
-        def ok(x, y, z):
-            # reduction mod Phi_D is Z-linear, so one reduction of the
-            # difference decides equality
-            buckets = value(x, y, z)
-            buckets[0] -= denominator * _eval_mod_tuples(x, y, z)
-            return CycElem.from_power_vector(D, buckets).is_zero()
-
+    diagram's value differs from T, or None.  Reduction mod Phi_R is
+    Z-linear, so one reduction of the difference decides equality."""
+    R, value = _evaluator(obj, diagram)
+    setting, denominator = obj.setting, obj.denominator
     for x, y, z in points:
-        if not ok(x, y, z):
+        buckets = value(x, y, z)
+        buckets[0] -= denominator * _product(setting, x, y, z)
+        if any(reduce_power_vector(R, buckets)):
             return x, y, z
     return None
 
@@ -735,35 +701,6 @@ class BoundCertificate:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BoundCertificate":
-        family = parse_family(
-            data["family"], setting=data["setting"], D=data["D"], n=data["n"]
-        )
-        witness = None
-        if "diagonal_witness" in data:
-            # a witness triple may repeat a member, so parse line by line
-            witness = tuple(
-                parse_family(line, setting=data["setting"], D=data["D"], n=data["n"]).members[0]
-                for line in data["diagonal_witness"]
-            )
-        return cls(
-            setting=data["setting"],
-            n=data["n"],
-            D=data["D"],
-            family=family,
-            diagonal_ok=data["diagonal_ok"],
-            diagonal_witness=witness,
-            slice_count=int(data["slice_count"]),
-            closed_form_bound=int(data["closed_form_bound"]),
-            conclusion=data["conclusion"],
-            lemma=data.get("lemma", "diagonal-slice-rank"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BoundCertificate":
-        return cls.from_json_dict(json.loads(text))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from slicerank import tensor as tensor_mod
 from slicerank.bounds import mod_count_bound
 from slicerank.cli import main
 from slicerank.setsys import BINARY, MOD, find_sunflower
-from slicerank.tensor import BoundCertificate, decompose
+from slicerank.tensor import decompose
 from test_tensor import _drop_last_residual_term, _first_mismatch, _wrong_at_all_ones, key_count
 
 _spec = importlib.util.spec_from_file_location(
@@ -84,8 +84,8 @@ def test_certify_mod_family(family_file, capsys, tmp_path):
     code, out, _ = run(capsys, "certify", path, "--D", "3", "--json", out_json)
     assert code == 0
     assert "conclusion: |A| <= 3" in out
-    cert = BoundCertificate.from_json((tmp_path / "cert.json").read_text())
-    assert cert.diagonal_ok and cert.slice_count == 3
+    cert = json.loads((tmp_path / "cert.json").read_text())
+    assert cert["diagonal_ok"] and cert["slice_count"] == "3"
 
 
 def test_certify_json_to_directory_is_an_error(family_file, capsys, tmp_path):
@@ -147,10 +147,10 @@ def test_certify_past_the_term_cap(family_file, capsys, tmp_path, setting, n, D,
     code, out, err = run(capsys, "certify", path, *([] if D is None else ["--D", str(D)]),
                          "--json", out_json)
     assert (code, err) == (0, "")
-    cert = BoundCertificate.from_json((tmp_path / "cert.json").read_text())
+    cert = json.loads((tmp_path / "cert.json").read_text())
     layers = len({m.bits.bit_count() for m in family}) if setting == BINARY else 1
-    assert cert.slice_count == key_count(setting, n, D) * layers
-    assert f"conclusion: |A| <= {cert.slice_count}" in out
+    assert int(cert["slice_count"]) == key_count(setting, n, D) * layers
+    assert f"conclusion: |A| <= {cert['slice_count']}" in out
 
 
 # --- bounds -----------------------------------------------------------------
@@ -207,6 +207,25 @@ def test_bounds_capacity_past_the_float_range(capsys):
         assert rows[0][3] == "inf"
         assert rows[1][2:] == rows[2][2:] == [root, log2]
         assert float(log2) == pytest.approx(math.log2(10) * int(C[2:]) / 2)
+
+
+def test_bounds_at_the_integer_string_limit(capsys, tmp_path):
+    # the default capset reduction count is 2347^n / 625^n: its numerator
+    # has 4298 digits at n = 1275, and 4301 at n = 1276, past the 4300 that
+    # Python prints
+    out_csv = tmp_path / "bounds.csv"
+    code, _, err = run(capsys, "bounds", "--n", "1275", "--csv", str(out_csv))
+    assert (code, err) == (0, "")
+    with open(out_csv) as fh:
+        by_name = {r[0]: r for r in csv.reader(fh)}
+    assert by_name["capset-reduction-count"][3] == f"{2347**1275}/{625**1275}"
+    assert len(by_name["capset-reduction-count"][3].split("/")[0]) == 4298
+    out_csv.unlink()
+    code, out, err = run(capsys, "bounds", "--n", "1276", "--csv", str(out_csv))
+    assert (code, out) == (2, "")
+    assert err == ("error: the exact capset-reduction-count value at n=1276 has more"
+                   " than 4300 digits, past the integer string limit\n")
+    assert not out_csv.exists()
 
 
 # --- verify-tensor ------------------------------------------------------------

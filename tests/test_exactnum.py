@@ -1,16 +1,9 @@
 import cmath
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicerank.exactnum import (
-    CycElem,
-    cyclotomic_poly,
-    orthogonality_sum,
-    phi_degree,
-    zeta_pow,
-)
+from slicerank.exactnum import _poly_mul, cyclotomic_poly, reduce_power_vector
 
 
 def poly_at(coeffs, x):
@@ -18,12 +11,6 @@ def poly_at(coeffs, x):
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def numeric_value(e: CycElem) -> complex:
-    """Float oracle: evaluate the coefficient vector at exp(2*pi*i/D)."""
-    z = cmath.exp(2j * cmath.pi / e.D)
-    return poly_at(e.coeffs, z)
 
 
 # --- cyclotomic polynomials -------------------------------------------------
@@ -39,8 +26,6 @@ def test_small_cyclotomic_polynomials():
 
 def test_cyclotomic_product_identity():
     # prod over d | D of Phi_d = X^D - 1, exactly, for D <= 30
-    from slicerank.exactnum import _poly_mul
-
     for D in range(1, 31):
         prod = [1]
         for d in range(1, D + 1):
@@ -60,7 +45,8 @@ def test_cyclotomic_matches_sympy():
 
 
 def test_phi_degree():
-    assert [phi_degree(D) for D in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
+    # the reduction has phi(D) coefficients, one per power below deg Phi_D
+    assert [len(reduce_power_vector(D, [])) for D in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
 
 
 def test_cyclotomic_rejects_nonpositive():
@@ -68,52 +54,72 @@ def test_cyclotomic_rejects_nonpositive():
         cyclotomic_poly(0)
 
 
-# --- ring elements ----------------------------------------------------------
+# --- the zero test -----------------------------------------------------------
 
 
 def test_root_of_unity_identities():
-    assert zeta_pow(3, 0) == CycElem.from_int(3, 1)
-    assert zeta_pow(3, 1) * zeta_pow(3, 2) == CycElem.from_int(3, 1)
-    assert zeta_pow(5, 7) == zeta_pow(5, 2)
+    # zeta^0 = 1, zeta^3 = 1 at D = 3, zeta^7 = zeta^2 at D = 5
+    assert reduce_power_vector(3, [1]) == (1, 0)
+    assert reduce_power_vector(3, [0, 0, 0, 1]) == (1, 0)
+    assert reduce_power_vector(5, [0] * 7 + [1]) == reduce_power_vector(5, [0, 0, 1])
 
 
 def test_zeta3_sum_vanishes():
-    s = zeta_pow(3, 0) + zeta_pow(3, 1) + zeta_pow(3, 2)
-    assert s.is_zero()
+    assert reduce_power_vector(3, [1, 1, 1]) == (0, 0)
 
 
-def test_conj_of_zeta4():
+def test_zeta4_cubed_is_minus_zeta():
     # mod X^2 + 1: zeta^3 = -zeta
-    assert zeta_pow(4, 1).conj() == zeta_pow(4, 3)
-    assert zeta_pow(4, 3) == -zeta_pow(4, 1)
+    assert reduce_power_vector(4, [0, 0, 0, 1]) == (0, -1)
 
 
 def test_zeta_D_th_power_is_one():
     for D in range(1, 13):
-        assert zeta_pow(D, D) == CycElem.from_int(D, 1)
+        one = reduce_power_vector(D, [1])
+        assert reduce_power_vector(D, [0] * D + [1]) == one
+        assert one == (1,) + (0,) * (len(cyclotomic_poly(D)) - 2)
 
 
 def test_numeric_agreement():
-    # arithmetic agrees with complex floats on a few hand-picked elements
-    a = zeta_pow(12, 5) + CycElem.from_int(12, 3)
-    b = zeta_pow(12, 7) - zeta_pow(12, 2)
-    exact = numeric_value(a * b)
-    approx = numeric_value(a) * numeric_value(b)
+    # the reduced product agrees with complex floats on a few hand-picked
+    # elements: a = zeta^5 + 3, b = zeta^7 - zeta^2 at D = 12
+    z = cmath.exp(2j * cmath.pi / 12)
+    a = [3, 0, 0, 0, 0, 1]
+    b = [0, 0, -1, 0, 0, 0, 0, 1]
+    exact = poly_at(reduce_power_vector(12, _poly_mul(a, b)), z)
+    approx = poly_at(reduce_power_vector(12, a), z) * poly_at(reduce_power_vector(12, b), z)
     assert abs(exact - approx) < 1e-9
 
 
-def elements(D):
-    deg = phi_degree(D)
-    return st.lists(st.integers(-9, 9), min_size=deg, max_size=deg).map(
-        lambda cs: CycElem(D, tuple(cs))
-    )
+def test_one_phase_is_left_as_it_is():
+    # Phi_1 = X - 1: a single bucket reduces to itself
+    for v in (-7, 0, 1, 12):
+        assert reduce_power_vector(1, [v]) == (v,)
 
 
 @st.composite
-def element_triples(draw):
+def power_vectors(draw):
     D = draw(st.integers(1, 12))
-    e = elements(D)
-    return draw(e), draw(e), draw(e)
+    return D, draw(st.lists(st.integers(-9, 9), max_size=3 * D))
+
+
+@settings(max_examples=200)
+@given(power_vectors())
+def test_reduction_keeps_the_value(case):
+    # float oracle: the reduced coefficients and the vector have the same
+    # value at exp(2*pi*i/D)
+    D, vec = case
+    z = cmath.exp(2j * cmath.pi / D)
+    assert abs(poly_at(reduce_power_vector(D, vec), z) - poly_at(vec, z)) < 1e-6
+
+
+@given(power_vectors(), st.lists(st.integers(-9, 9), max_size=36))
+def test_reduction_is_linear(case, other):
+    D, vec = case
+    n = max(len(vec), len(other))
+    total = [a + b for a, b in zip(vec + [0] * n, other + [0] * n)]
+    reduced = [a + b for a, b in zip(reduce_power_vector(D, vec), reduce_power_vector(D, other))]
+    assert list(reduce_power_vector(D, total)) == reduced
 
 
 @st.composite
@@ -139,63 +145,37 @@ def test_one_reduction_of_the_difference_decides_equality(case):
     # reduction mod Phi_D is Z-linear, so subtracting the target from
     # bucket 0 and testing for zero agrees with comparing the two reductions
     D, buckets, target = case
-    equal = CycElem.from_power_vector(D, buckets) == CycElem.from_int(D, target)
+    equal = reduce_power_vector(D, buckets) == reduce_power_vector(D, [target])
     diff = list(buckets)
     diff[0] -= target
-    assert CycElem.from_power_vector(D, diff).is_zero() == equal
-
-
-@given(element_triples())
-def test_ring_laws(triple):
-    a, b, c = triple
-    assert a + b == b + a
-    assert a * b == b * a
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + (-a) == CycElem.from_int(a.D, 0)
-
-
-@given(element_triples())
-def test_conj_is_ring_involution(triple):
-    a, b, _ = triple
-    assert a.conj().conj() == a
-    assert (a * b).conj() == a.conj() * b.conj()
-    assert (a + b).conj() == a.conj() + b.conj()
-
-
-def test_conj_inverts_roots():
-    for D in range(1, 13):
-        for e in range(D):
-            assert zeta_pow(D, e).conj() == zeta_pow(D, -e)
-
-
-def test_mixed_modulus_rejected():
-    with pytest.raises(ValueError):
-        zeta_pow(3, 1) + zeta_pow(4, 1)
+    assert (not any(reduce_power_vector(D, diff))) == equal
 
 
 # --- characters and orthogonality -------------------------------------------
 
 
+def _character_sum(D, t):
+    """sum_j zeta_D^(j t), reduced."""
+    vec = [0] * D
+    for j in range(D):
+        vec[j * t % D] += 1
+    return reduce_power_vector(D, vec)
+
+
 @pytest.mark.parametrize("D", range(1, 13))
 def test_orthogonality_exhaustive(D):
+    # (1/D) sum_j zeta^(j t) is 1 at t = 0 and 0 otherwise
     for t in range(D):
-        expected = Fraction(1) if t == 0 else Fraction(0)
-        assert orthogonality_sum(D, t) == expected
+        assert _character_sum(D, t) == reduce_power_vector(D, [D if t == 0 else 0])
 
 
 def test_orthogonality_examples():
-    assert orthogonality_sum(3, 1) == 0
-    assert orthogonality_sum(6, 3) == 0
-    assert all(orthogonality_sum(D, 0) == 1 for D in range(1, 13))
+    assert not any(_character_sum(3, 1))
+    assert not any(_character_sum(6, 3))
+    assert all(_character_sum(D, 0) == reduce_power_vector(D, [D]) for D in range(1, 13))
 
 
 def test_nontrivial_character_sums_vanish():
     for D in range(1, 13):
         for t in range(1, D):
-            acc = CycElem.from_int(D, 0)
-            for j in range(D):
-                acc = acc + zeta_pow(D, j * t)
-            assert acc.is_zero()
-
+            assert not any(_character_sum(D, t))

@@ -1,6 +1,6 @@
-"""Every public top-level function and class of the library has a caller in
-the library or its scripts: a name only tests call is surface that no
-pipeline runs."""
+"""Every public top-level function and class of the library, and every
+public method of its classes, has a caller in the library or its scripts: a
+name only tests call is surface that no pipeline runs."""
 
 import ast
 from pathlib import Path
@@ -10,22 +10,27 @@ SOURCES = sorted((ROOT / "src" / "slicerank").glob("*.py"))
 USERS = SOURCES + sorted((ROOT / "scripts").glob("*.py"))
 
 # reference implementations that the tests compare the library's fast paths
-# against: the pointwise tensor, the sunflower predicates, the brute-force
-# search maximum, and the character sums of the orthogonality relation
+# against: the pointwise tensor, the sunflower predicates and the
+# brute-force search maximum
 REFERENCE_ORACLES = (
     "tensor_value",
     "is_sunflower",
     "is_sunflower_free",
     "triple_is_sunflower",
     "brute_force_max",
-    "phi_degree",
-    "orthogonality_sum",
 )
 
 
 def _public_definitions(tree):
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def _public_methods(tree):
+    """(class, method) for each public non-dunder method of a top-level class."""
+    return [(cls, node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
 
 
 def _named(tree, skip=None):
@@ -56,6 +61,18 @@ def test_every_public_definition_has_a_caller():
             if not any(definition.name in _named(tree, definition if p == path else None)
                        for p, tree in trees.items()):
                 dead.append(f"{path.name}:{definition.lineno} {definition.name}")
+    assert dead == []
+
+
+def test_every_public_method_has_a_caller():
+    # a method counts as read where its name is read outside its own body
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in USERS}
+    dead = []
+    for path in SOURCES:
+        for cls, method in _public_methods(trees[path]):
+            if not any(method.name in _named(tree, method if p == path else None)
+                       for p, tree in trees.items()):
+                dead.append(f"{path.name}:{method.lineno} {cls.name}.{method.name}")
     assert dead == []
 
 

@@ -8,7 +8,6 @@ from family_strategies import families
 from slicerank import setsys
 from slicerank.setsys import (
     BINARY,
-    CAPSET,
     MOD,
     DVector,
     EncodedFamily,
@@ -50,7 +49,7 @@ def mod_family(D, *coord_rows):
 
 
 def test_subset_vector_basics():
-    v = SubsetVector.from_support(4, [1, 3])
+    v = SubsetVector(4, 0b101)
     assert v.coords() == (1, 0, 1, 0)
     assert v.weight == 2
     assert v.to_line() == "1010"
@@ -129,19 +128,11 @@ def test_parse_errors_carry_line_numbers():
 
 def test_is_sunflower_examples():
     # pairwise disjoint singletons: core is empty
-    assert is_sunflower([SubsetVector.from_support(3, [i]) for i in (1, 2, 3)])
+    assert is_sunflower([sv(1, 0, 0), sv(0, 1, 0), sv(0, 0, 1)])
     # common core {1} with disjoint petals
-    assert is_sunflower(
-        [SubsetVector.from_support(4, [1, k]) for k in (2, 3, 4)]
-    )
+    assert is_sunflower([sv(1, 1, 0, 0), sv(1, 0, 1, 0), sv(1, 0, 0, 1)])
     # {1} cap {2} is empty but {1} cap {1,2} is {1}
-    assert not is_sunflower(
-        [
-            SubsetVector.from_support(2, [1]),
-            SubsetVector.from_support(2, [2]),
-            SubsetVector.from_support(2, [1, 2]),
-        ]
-    )
+    assert not is_sunflower([sv(1, 0), sv(0, 1), sv(1, 1)])
 
 
 def test_two_sets_always_form_a_sunflower():
@@ -297,9 +288,10 @@ def test_pair_encode_displayed_values():
     assert pair_encode(binary_family((0, 1, 0, 0))).members == ((2, 0),)
 
 
-def test_pair_encode_round_trip():
-    f = binary_family((1, 0, 1, 1), (0, 1, 0, 0), (1, 1, 1, 1))
-    assert pair_encode(f).decode().members == f.members
+def test_pair_encode_is_one_symbol_per_coordinate_pair():
+    # all 16 members of {0,1}^4 go to the 16 distinct pairs of symbols
+    f = Family.of([sv(*coords) for coords in itertools.product((0, 1), repeat=4)])
+    assert pair_encode(f).members == tuple(itertools.product(range(4), repeat=2))
 
 
 def test_pair_encode_rejects_odd_dimension():
@@ -411,24 +403,30 @@ def test_planted_lex_largest_witness():
 @settings(max_examples=100, deadline=None)
 @given(families())
 def test_completions_match_the_triple_predicates(fam):
-    # every pair's mask, against the spec predicates on each distinct third
+    # every pair's mask, against the spec predicate on each distinct third
     codes = [m.coords() if fam.setting == BINARY else m.coords for m in fam]
     masks = value_masks(codes, fam.n)
     full = (1 << len(codes)) - 1
-    rules = [fam.setting] + ([CAPSET] if fam.setting == MOD and fam.D == 3 else [])
-    for rule in rules:
-        for i, j in itertools.permutations(range(len(codes)), 2):
-            got = completions(rule, masks, codes[i], codes[j], full) & ~(1 << i | 1 << j)
-            want = 0
-            for k, z in enumerate(codes):
-                if k in (i, j):
-                    continue
-                if rule == CAPSET:
-                    bad = all((a + b + c) % 3 == 0 for a, b, c in zip(codes[i], codes[j], z))
-                else:
-                    bad = triple_is_sunflower(fam.members[i], fam.members[j], fam.members[k])
-                want |= bad << k
-            assert got == want, (rule, i, j)
+    for i, j in itertools.permutations(range(len(codes)), 2):
+        got = completions(fam.setting, masks, codes[i], codes[j], full) & ~(1 << i | 1 << j)
+        want = 0
+        for k in range(len(codes)):
+            if k not in (i, j):
+                want |= triple_is_sunflower(fam.members[i], fam.members[j], fam.members[k]) << k
+        assert got == want, (i, j)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_mod_rule_over_F3_is_the_progression_rule(n):
+    # on every ordered pair of F_3^n, repeated members included, the mod
+    # rule's mask is the set of z with x + y + z = 0
+    codes = list(itertools.product(range(3), repeat=n))
+    masks = value_masks(codes, n)
+    full = (1 << len(codes)) - 1
+    for x, y in itertools.product(codes, repeat=2):
+        want = sum(1 << k for k, z in enumerate(codes)
+                   if all((a + b + c) % 3 == 0 for a, b, c in zip(x, y, z)))
+        assert completions(MOD, masks, x, y, full) == want, (x, y)
 
 
 def _bit_by_bit_value_masks(codes, n):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from slicerank import tensor
 from slicerank.bounds import constant_weight_bound, mod_count_bound, subset_family_bound
-from slicerank.exactnum import CycElem
+from slicerank.exactnum import reduce_power_vector
 from family_strategies import families
 from slicerank.setsys import (
     BINARY,
@@ -588,7 +589,8 @@ def test_decompose_rejects_a_factor_outside_the_domain(ts):
 # The reference is the per-point evaluation the diagram replaced: binary terms
 # grouped as (axis, factor, residual) and skipped when the factor does not
 # divide the point; mod-D terms as one flat (num, fx, fy, fz) table whose
-# character phases are precomputed per factor and point.
+# character phases are precomputed per factor and point.  It takes T by
+# cases at each coordinate, not from the library's per-coordinate factors.
 
 
 def _ref_table(obj):
@@ -651,18 +653,35 @@ def _ref_mod_evaluator(table, n, D, xs, ys, zs):
 
 
 def _ref_values(obj, xs, ys, zs):
+    # binary values come as one bucket, as the diagram's evaluator gives them
     if obj.setting == BINARY:
-        masks = ([tensor._mask(t) for t in pts] for pts in (xs, ys, zs))
-        return _ref_binary_evaluator(_ref_table(obj), *masks)
+        masks = ([sum(c << i for i, c in enumerate(t)) for t in pts] for pts in (xs, ys, zs))
+        value = _ref_binary_evaluator(_ref_table(obj), *masks)
+        return lambda ix, iy, iz: [value(ix, iy, iz)]
     return _ref_mod_evaluator(_ref_table(obj), obj.n, obj.D, xs, ys, zs)
 
 
+# T at one coordinate by cases: binary by the number of ones, mod-D by the
+# number of equal pairs among (a, b, c)
+_BINARY_CASES = {0: 2, 1: 1, 2: 0, 3: -1}
+_MOD_CASES = {3: 2, 1: 0, 0: -1}
+
+
+def _ref_T(setting, x, y, z):
+    value = 1
+    for a, b, c in zip(x, y, z):
+        if setting == BINARY:
+            value *= _BINARY_CASES[a + b + c]
+        else:
+            value *= _MOD_CASES[(a == b) + (b == c) + (a == c)]
+    return value
+
+
 def _ref_ok(obj, value, x, y, z):
+    target = obj.denominator * _ref_T(obj.setting, x, y, z)
     if obj.setting == BINARY:
-        return value == tensor._eval_binary_masks(tensor._mask(x), tensor._mask(y),
-                                                  tensor._mask(z), obj.n)
-    target = obj.denominator * tensor._eval_mod_tuples(x, y, z)
-    return CycElem.from_power_vector(obj.D, value) == CycElem.from_int(obj.D, target)
+        return value == [target]
+    return reduce_power_vector(obj.D, value) == reduce_power_vector(obj.D, [target])
 
 
 def _ref_value_at(obj, x, y, z):
@@ -670,13 +689,15 @@ def _ref_value_at(obj, x, y, z):
     # Fraction (mod-D), None where the value is irrational
     value = _ref_values(obj, [x], [y], [z])(0, 0, 0)
     if obj.setting == BINARY:
-        return value
-    num = CycElem.from_power_vector(obj.D, value).as_int()
-    return None if num is None else Fraction(num, obj.denominator)
+        return value[0]
+    num, *irrational = reduce_power_vector(obj.D, value)
+    return None if any(irrational) else Fraction(num, obj.denominator)
 
 
 def _diagram_values(obj, pts):
-    value = tensor._evaluator(obj, tensor._diagram(obj))
+    # one phase for monomials, D for characters of Z/DZ
+    R, value = tensor._evaluator(obj, tensor._diagram(obj))
+    assert R == (1 if obj.setting == BINARY else obj.D)
     return lambda ix, iy, iz: value(pts[ix], pts[iy], pts[iz])
 
 
@@ -1123,7 +1144,7 @@ def test_slice_counts_within_closed_form_bounds():
 
 
 def test_binary_layer_is_diagonal():
-    fam = Family.of([SubsetVector.from_support(2, [1]), SubsetVector.from_support(2, [2])])
+    fam = Family.of([sv(1, 0), sv(0, 1)])
     report = check_diagonal(fam)
     assert report.ok
 
@@ -1137,8 +1158,8 @@ def test_mod_layer_is_diagonal():
 
 
 def test_non_antichain_rejected_with_witness():
-    a = SubsetVector.from_support(2, [1])
-    b = SubsetVector.from_support(2, [1, 2])
+    a = sv(1, 0)
+    b = sv(1, 1)
     report = check_diagonal(Family.of([a, b]))
     assert not report.ok
     assert report.witness == (a, a, b)
@@ -1231,7 +1252,7 @@ def test_certify_mod_example():
 
 
 def test_certify_rejects_sunflower():
-    fam = Family.of([SubsetVector.from_support(3, [i]) for i in (1, 2, 3)])
+    fam = Family.of([sv(1, 0, 0), sv(0, 1, 0), sv(0, 0, 1)])
     with pytest.raises(NotSunflowerFree) as exc:
         certify_family(fam)
     assert exc.value.witness is not None
@@ -1239,7 +1260,7 @@ def test_certify_rejects_sunflower():
 
 def test_certify_binary_two_layers():
     fam = Family.of(
-        [SubsetVector.from_support(2, [1]), SubsetVector.from_support(2, [2])]
+        [sv(1, 0), sv(0, 1)]
     )
     cert = certify_family(fam)
     assert cert.diagonal_ok
@@ -1301,7 +1322,7 @@ def test_certify_checks_the_slice_count_without_sampling(monkeypatch):
 
     monkeypatch.setattr(tensor, "_sampled_tuples", no_sampling)
     tensor._structural_slice_count.cache_clear()
-    members = [SubsetVector.from_support(6, s) for s in ([1, 2], [1, 3], [2, 3], [1, 2, 3, 4])]
+    members = [SubsetVector(6, bits) for bits in (0b11, 0b101, 0b110, 0b1111)]
     cert = certify_family(Family.of(members))
     assert cert.diagonal_ok
     assert cert.slice_count == 2 * decomposition_size(BINARY, 6)
@@ -1315,7 +1336,7 @@ def test_certify_builds_no_expansion(monkeypatch):
     tensor._one_coordinate.cache_clear()
     monkeypatch.setattr(tensor, "expand_tensor", built)
     monkeypatch.setattr(tensor, "decompose", built)
-    members = [SubsetVector.from_support(6, s) for s in ([1, 2], [1, 3], [2, 3], [1, 2, 3, 4])]
+    members = [SubsetVector(6, bits) for bits in (0b11, 0b101, 0b110, 0b1111)]
     assert certify_family(Family.of(members)).slice_count == 2 * key_count(BINARY, 6)
     cert = certify_family(Family.of([dv(3, 0, 1, 2), dv(3, 1, 1, 0)]))
     assert cert.slice_count == key_count(MOD, 3, 3)
@@ -1324,22 +1345,34 @@ def test_certify_builds_no_expansion(monkeypatch):
     assert cert.slice_count == key_count(MOD, 30, 5)
 
 
-def test_certificate_json_round_trip():
+def test_certificate_json_fields():
     cert = certify_family(Family.of([dv(3, 0, 1), dv(3, 1, 2)]))
-    data = cert.to_json()
-    back = BoundCertificate.from_json(data)
-    assert back == cert
-    assert back.to_json() == data
+    text = cert.to_json()
+    assert json.loads(text) == {
+        "setting": MOD,
+        "n": 2,
+        "D": 3,
+        "family": "0,1\n1,2\n",
+        "diagonal_ok": True,
+        "slice_count": str(cert.slice_count),
+        "closed_form_bound": str(cert.closed_form_bound),
+        "conclusion": f"|A| <= {cert.slice_count}",
+        "lemma": "diagonal-slice-rank",
+    }
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-def test_failure_certificate_json_round_trip():
-    a = SubsetVector.from_support(2, [1])
-    b = SubsetVector.from_support(2, [1, 2])
+def test_failure_certificate_json_fields():
+    a = sv(1, 0)
+    b = sv(1, 1)
     cert = BoundCertificate(
         BINARY, 2, None, Family.of([a, b]), False, (a, a, b), 6, 9, "not-certified"
     )
-    back = BoundCertificate.from_json(cert.to_json())
-    assert back == cert
+    data = json.loads(cert.to_json())
+    assert data["diagonal_ok"] is False
+    assert data["diagonal_witness"] == ["10", "10", "11"]
+    assert data["family"] == "10\n11\n"
+    assert (data["slice_count"], data["closed_form_bound"]) == ("6", "9")
 
 
 @st.composite
