@@ -45,13 +45,9 @@ def _report(name: str, params: dict, exact=None, value=None) -> BoundReport:
             # and its log2 below stay exact
             value = math.inf
     log2 = math.log2(value) if value > 0 else None
-    if exact is not None and isinstance(exact, (int, Fraction)) and exact > 0:
+    if exact is not None and exact > 0:
         # exact log2 for big values float() may distort
-        log2 = (
-            math.log2(exact.numerator) - math.log2(exact.denominator)
-            if isinstance(exact, Fraction)
-            else math.log2(exact)
-        )
+        log2 = math.log2(exact.numerator) - math.log2(exact.denominator)
     return BoundReport(name, params, exact, value, log2)
 
 
@@ -61,7 +57,12 @@ def _report(name: str, params: dict, exact=None, value=None) -> BoundReport:
 
 def binomial_tail(n: int, kmax: int, weight: int = 1) -> int:
     """sum_{k=0}^{kmax} C(n,k) weight^k; empty (=0) when kmax < 0."""
-    return sum(math.comb(n, k) * weight**k for k in range(0, kmax + 1))
+    total, term = 0, 1
+    for k in range(kmax + 1):
+        total += term
+        # C(n,k) (n-k) = C(n,k+1) (k+1), so the division is exact
+        term = term * (n - k) * weight // (k + 1)
+    return total
 
 
 def constant_weight_bound(n: int) -> int:
@@ -108,30 +109,37 @@ def mod_count_bound(n: int, D: int) -> int:
 
 
 def _int_cbrt(v: int) -> int | None:
-    """Exact integer cube root, or None."""
-    if v < 0:
-        r = _int_cbrt(-v)
-        return None if r is None else -r
-    r = round(v ** (1 / 3)) if v else 0
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**3 == v:
-            return c
-    return None
+    """Exact integer cube root of v >= 0, or None."""
+    if not v:
+        return 0
+    # integer Newton from 2^ceil(bits/3) >= cbrt(v) down to floor(cbrt(v))
+    r = 1 << -(-v.bit_length() // 3)
+    while (s := (2 * r + v // (r * r)) // 3) < r:
+        r = s
+    return r if r**3 == v else None
 
 
 def mod_growth_rate(D: int) -> BoundReport:
     """Growth base g_D = (3/2^(2/3)) (D-1)^(2/3); its cube 27(D-1)^2/4 is
-    rational, and the exact field is set when the cube root is rational
-    (D = 3 gives exactly 3)."""
+    rational, and the exact field is set when the cube root is rational,
+    which takes an integer cube (D = 3 gives exactly 3)."""
     if D < 3:
         raise ValueError("the mod-D bounds need D >= 3")
+    params = {"D": D}
     cubed = Fraction(27 * (D - 1) ** 2, 4)
-    np3, dp3 = _int_cbrt(cubed.numerator), _int_cbrt(cubed.denominator)
-    exact = Fraction(np3, dp3) if np3 is not None and dp3 is not None else None
-    if exact is not None and exact.denominator == 1:
-        exact = exact.numerator
-    value = float(cubed) ** (1 / 3) if exact is None else float(exact)
-    return _report("mod-growth-rate", {"D": D}, exact=exact, value=value)
+    # the denominator is 1 or 4, and 4 is no cube
+    exact = _int_cbrt(cubed.numerator) if cubed.denominator == 1 else None
+    if exact is not None:
+        return _report("mod-growth-rate", params, exact=exact)
+    try:
+        value = float(cubed) ** (1 / 3)
+    except OverflowError:
+        # the cube is past the float range: log2 is exact from its numerator
+        # and denominator, and the float column reads inf only where g_D is
+        log2 = (math.log2(cubed.numerator) - math.log2(cubed.denominator)) / 3
+        value = 2.0**log2 if log2 < sys.float_info.max_exp else math.inf
+        return BoundReport("mod-growth-rate", params, None, value, log2)
+    return _report("mod-growth-rate", params, value=value)
 
 
 def count_below_growth_power(n: int, D: int) -> bool:
@@ -152,9 +160,7 @@ def search_max_within_growth(max_size: int, n: int, D: int) -> bool:
 # capset reduction and the capacity summary
 
 
-def capset_capacity_reduction(
-    n: int, C: Fraction | float | str = DEFAULT_CAPSET_CAPACITY
-) -> list[BoundReport]:
+def capset_capacity_reduction(n: int, C: Fraction = DEFAULT_CAPSET_CAPACITY) -> list[BoundReport]:
     """Bound the largest sunflower-free family in {0,1}^(2n) via the capset
     capacity C: the count is at most (1+C)^n, hence the binary capacity is
     at most sqrt(1+C).
@@ -164,8 +170,6 @@ def capset_capacity_reduction(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if not isinstance(C, Fraction):
-        C = Fraction(str(C))
     if C < 0:
         raise ValueError("capacity estimate must be nonnegative")
     params = {"n": n, "C": C}
@@ -182,7 +186,7 @@ def capset_capacity_reduction(
     return [count, _report("capset-reduction-capacity", params, value=root)]
 
 
-def capacities_summary(C: Fraction | float | str = DEFAULT_CAPSET_CAPACITY) -> list[BoundReport]:
+def capacities_summary(C: Fraction = DEFAULT_CAPSET_CAPACITY) -> list[BoundReport]:
     """The sunflower-free capacity constants: the 3/2^(2/3) upper bound, the
     cited 1.554 lower bound, the sqrt(1+C) comparison, and the trivial 2."""
     reports = [

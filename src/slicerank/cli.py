@@ -33,6 +33,7 @@ from . import search as search_mod
 from . import tensor as tensor_mod
 from .setsys import (
     BINARY,
+    CAPSET,
     MOD,
     FamilyFormatError,
     find_sunflower,
@@ -94,7 +95,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    reports = bounds_mod.bound_table(args.n, args.D, Fraction(str(args.C)))
+    reports = bounds_mod.bound_table(args.n, args.D, Fraction(args.C))
     rows = [bounds_mod.report_row(r) for r in reports]
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -111,12 +112,11 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify_tensor(args) -> int:
-    setting = BINARY if args.setting == "binary" else MOD
     if args.samples is None:
         kwargs = dict(mode="exhaustive")
     else:
         kwargs = dict(mode="sampled", samples=args.samples, seed=args.seed)
-    ts = tensor_mod.expand_tensor(setting, args.n, args.D)
+    ts = tensor_mod.expand_tensor(args.setting, args.n, args.D)
     # verifying the expansion before decomposing frees the expansion check's
     # diagram before the slices are built, and dropping the expansion once it
     # is decomposed frees its terms before the slices are checked
@@ -127,7 +127,7 @@ def cmd_verify_tensor(args) -> int:
     ok_d, wit_d = tensor_mod.verify_decomposition(dec, **kwargs)
     closed = (
         bounds_mod.constant_weight_bound(args.n)
-        if setting == BINARY
+        if args.setting == BINARY
         else bounds_mod.mod_count_bound(args.n, args.D)
     )
     print(f"terms: {term_count}")
@@ -145,9 +145,8 @@ def cmd_verify_tensor(args) -> int:
 
 
 def cmd_search(args) -> int:
-    setting = {"binary": BINARY, "mod-d": MOD, "capset": search_mod.CAPSET}[args.setting]
     cfg = search_mod.SearchConfig(
-        setting=setting,
+        setting=args.setting,
         n=args.n,
         D=args.D,
         node_budget=args.budget,
@@ -232,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify-tensor", help="expand, decompose, and verify pointwise")
-    p.add_argument("--setting", choices=["binary", "mod-d"], required=True)
+    p.add_argument("--setting", choices=[BINARY, MOD], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--D", type=int, default=None)
     p.add_argument("--samples", type=int, default=None,
@@ -241,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_tensor)
 
     p = sub.add_parser("search", help="branch-and-bound maximum free family")
-    p.add_argument("--setting", choices=["binary", "mod-d", "capset"], required=True)
+    p.add_argument("--setting", choices=[BINARY, MOD, CAPSET], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--D", type=int, default=None)
     p.add_argument("--budget", type=int, default=2_000_000, help="node budget")

@@ -60,11 +60,12 @@ class SubsetVector:
     def weight(self) -> int:
         return self.bits.bit_count()
 
+    @property
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
 
     def to_line(self) -> str:
-        return "".join(str(c) for c in self.coords())
+        return "".join(str(c) for c in self.coords)
 
 
 @dataclass(frozen=True)
@@ -85,10 +86,6 @@ class DVector:
 
     def to_line(self) -> str:
         return ",".join(str(c) for c in self.coords)
-
-
-def _key(v) -> tuple[int, ...]:
-    return v.coords() if isinstance(v, SubsetVector) else v.coords
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +112,7 @@ class Family:
             raise ValueError("binary families carry no alphabet size")
         if self.setting == MOD and (self.D is None or self.D < 2):
             raise ValueError("mod-D families need D >= 2")
-        seen = set()
+        by_coords = {}
         for m in self.members:
             if self.setting == BINARY:
                 if not isinstance(m, SubsetVector) or m.n != self.n:
@@ -123,20 +120,19 @@ class Family:
             else:
                 if not isinstance(m, DVector) or m.n != self.n or m.D != self.D:
                     raise ValueError("members must be DVectors of equal n and D")
-            k = _key(m)
-            if k in seen:
+            k = m.coords
+            if k in by_coords:
                 raise ValueError(f"duplicate member {m}")
-            seen.add(k)
-        object.__setattr__(self, "members", tuple(sorted(self.members, key=_key)))
+            by_coords[k] = m
+        object.__setattr__(self, "members", tuple(by_coords[k] for k in sorted(by_coords)))
 
     @classmethod
-    def of(cls, members: Sequence, n: int | None = None, D: int | None = None) -> "Family":
-        """Build a family, inferring the setting from the member type."""
+    def of(cls, members: Sequence) -> "Family":
+        """Build a nonempty family, inferring the setting from the member
+        type."""
         members = tuple(members)
         if not members:
-            if n is None:
-                raise ValueError("an empty family needs an explicit n")
-            return cls(MOD if D is not None else BINARY, n, D, ())
+            raise ValueError("an empty family has no member to infer its setting from")
         if isinstance(members[0], SubsetVector):
             return cls(BINARY, members[0].n, None, members)
         return cls(MOD, members[0].n, members[0].D, members)
@@ -151,17 +147,16 @@ class Family:
         return "".join(m.to_line() + "\n" for m in self.members)
 
 
-def parse_family(
-    text: str, setting: str | None = None, D: int | None = None, n: int | None = None
-) -> Family:
+def parse_family(text: str, D: int | None = None) -> Family:
     """Parse the family text format: one member per line, binary members as
     0/1 strings, mod-D members as comma-separated digits; '#' starts a
     comment and blank lines are ignored.
 
-    Unless given, the setting is inferred: an explicit D or a comma in some
-    member means mod-D (single-coordinate mod-D files therefore need an
-    explicit D), otherwise binary.  For mod-D input without an explicit D
-    the alphabet size is taken as max(coordinate) + 1, but never below 3.
+    The setting is inferred: an explicit D or a comma in some member means
+    mod-D (single-coordinate mod-D files therefore need an explicit D),
+    otherwise binary.  For mod-D input without an explicit D the alphabet
+    size is taken as max(coordinate) + 1, but never below 3.  Empty text is
+    the empty family at n = 0.
     """
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -169,18 +164,10 @@ def parse_family(
         if line:
             rows.append((lineno, line))
     if not rows:
-        if setting is None:
-            setting = MOD if D is not None else BINARY
-        return Family(setting, n or 0, D if setting == MOD else None, ())
-
-    if setting is None:
-        if D is not None or any("," in line for _, line in rows):
-            setting = MOD
-        else:
-            setting = BINARY
+        return Family(MOD if D is not None else BINARY, 0, D, ())
 
     members = []
-    if setting == BINARY:
+    if D is None and not any("," in line for _, line in rows):
         for lineno, line in rows:
             if set(line) - {"0", "1"}:
                 raise FamilyFormatError(f"line {lineno}: expected a 0/1 string, got {line!r}")
@@ -326,7 +313,7 @@ def find_sunflower(family: Family):
     least triple, the one a scan of `itertools.combinations` would return
     first.  That is O(|F|^2 n) mask operations instead of |F|^3 triples."""
     members = family.members
-    codes = [_key(m) for m in members]
+    codes = [m.coords for m in members]
     masks = value_masks(codes, family.n)
     full = (1 << len(codes)) - 1
     for a, x in enumerate(codes):
@@ -403,7 +390,7 @@ def pair_encode(family: Family) -> EncodedFamily:
     half = family.n // 2
     encoded = []
     for m in family.members:
-        coords = m.coords()
+        coords = m.coords
         encoded.append(tuple(_PAIR_TO_SYMBOL[coords[2 * i], coords[2 * i + 1]] for i in range(half)))
     return EncodedFamily(half, tuple(encoded))
 
@@ -411,10 +398,7 @@ def pair_encode(family: Family) -> EncodedFamily:
 def layer_extract(encoded: EncodedFamily, x) -> Family:
     """Members whose 3-symbols sit exactly at the support of x, with those
     coordinates deleted and the rest read as F_3 values."""
-    if isinstance(x, SubsetVector):
-        xc = x.coords()
-    else:
-        xc = tuple(x)
+    xc = tuple(x)
     if len(xc) != encoded.n:
         raise ValueError("selector dimension mismatch")
     if any(c not in (0, 1) for c in xc):

@@ -83,15 +83,12 @@ def _product(setting: str, x, y, z) -> int:
 
 def tensor_value(x, y, z) -> int:
     """Exact value of T at a triple of SubsetVectors or DVectors."""
-    if isinstance(x, SubsetVector):
-        if x.n != y.n or x.n != z.n:
-            raise ValueError("mismatched dimensions")
-        return _product(BINARY, x.coords(), y.coords(), z.coords())
-    if x.n != y.n or x.n != z.n or x.D != y.D or x.D != z.D:
+    setting, D = (BINARY, None) if isinstance(x, SubsetVector) else (MOD, x.D)
+    if any(v.n != x.n or getattr(v, "D", None) != D for v in (y, z)):
         raise ValueError("mismatched dimensions")
-    if x.D < 3:
+    if setting == MOD and D < 3:
         raise ValueError("the mod-D tensor needs D >= 3")
-    return _product(MOD, x.coords, y.coords, z.coords)
+    return _product(setting, x.coords, y.coords, z.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +111,28 @@ class TermSum:
     terms: tuple[tuple[int, int, int, int], ...]
 
 
-def _choices(setting: str, D: int | None) -> list[tuple[int, int, int, int]]:
-    """T at one coordinate as separable terms (num, cx, cy, cz), c a factor
-    digit: binary {2*1, -x_i, -y_i, -z_i}; mod-D the orthogonality identity's
-    (chi, conj chi, trivial) patterns over D, the -1 merged into the
-    all-trivial pattern ((3-D)/D, absent at D=3)."""
+def _choice_count(setting: str, D: int | None) -> int:
+    """len(_choices(setting, D)), with its checks, building no table: the
+    caps are checked on it before a table of 3(D-1) + [D != 3] rows is."""
     if setting == BINARY:
         if D is not None:
             raise ValueError("the binary setting takes no D")
-        return [(2, 0, 0, 0), (-1, 1, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 1)]
+        return 4
     if setting != MOD:
         raise ValueError(f"unknown setting {setting!r}")
     if D is None or D < 3:
         raise ValueError("the mod-D expansion needs D >= 3")
+    return 3 * (D - 1) + (D != 3)
+
+
+def _choices(setting: str, D: int | None) -> list[tuple[int, int, int, int]]:
+    """T at one coordinate as separable terms (num, cx, cy, cz), c a factor
+    digit: binary {2*1, -x_i, -y_i, -z_i}; mod-D the orthogonality identity's
+    (chi, conj chi, trivial) patterns over D, the -1 merged into the
+    all-trivial pattern ((3-D)/D, absent at D=3).  Callers check setting
+    and D with _choice_count first."""
+    if setting == BINARY:
+        return [(2, 0, 0, 0), (-1, 1, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 1)]
     choices = [] if D == 3 else [(3 - D, 0, 0, 0)]
     for j in range(1, D):
         choices.append((1, j, D - j, 0))
@@ -140,12 +146,14 @@ def expand_tensor(setting: str, n: int, D: int | None = None) -> TermSum:
     product of _choices(setting, D), over the denominator 1 resp. D^n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    choices = _choices(setting, D)
+    count = _choice_count(setting, D)
     # binary: a choice's bits never meet another coordinate's, so + is |
     M = 2 if setting == BINARY else D
-    if len(choices) ** n > DEFAULT_MAX_TERMS:
+    if count**n > DEFAULT_MAX_TERMS:
         at = f"binary expansion at n={n}" if M == 2 else f"mod-D expansion at (n={n}, D={D})"
         raise ResourceLimitError(f"{at} exceeds {DEFAULT_MAX_TERMS} terms")
+    # n = 0 is the one empty term: no coordinate reads the table
+    choices = _choices(setting, D) if n else []
     # the terms of coordinates 0..h-1 and of h..n-1, h = n//2, each list in
     # the order of choosing coordinate by coordinate, so their products, low
     # half outer, come in that order for all n coordinates
@@ -459,12 +467,12 @@ def _one_coordinate(setting: str, D: int | None):
     """(coef, level, denominator) of T's diagram at n = 1, checked against
     the product form on all M^3 points, a scan capped in D as an exhaustive
     one is."""
-    # _choices first: it rejects a bad setting or D
-    choices = _choices(setting, D)
+    # _choice_count first: it rejects a bad setting or D
+    count = _choice_count(setting, D)
     cube = (2 if setting == BINARY else D) ** 3
-    if cube * len(choices) > DEFAULT_WORK_CAP:
+    if cube * count > DEFAULT_WORK_CAP:
         raise ResourceLimitError(f"the one-coordinate check over {cube} points at D={D} is over the cap")
-    ts = TermSum(setting, 1, D, 1 if setting == BINARY else D, tuple(choices))
+    ts = TermSum(setting, 1, D, 1 if setting == BINARY else D, tuple(_choices(setting, D)))
     diagram = _diagram(ts)
     if _witness(ts, diagram, _all_points(_alphabet(ts), 1)) is not None:
         raise ArithmeticError(f"the {setting} expansion at n=1 is not the product form")
@@ -639,13 +647,10 @@ def check_diagonal(family: Family) -> DiagonalityReport:
     rule is symmetric in x and y, so the pair (y, x) has the mask of (x, y)
     and only pairs with x <= y are computed.  The witness is the first
     violating ordered triple in lexicographic member order."""
+    if family.setting == MOD and family.D < 3:
+        raise ValueError("the mod-D tensor needs D >= 3")
     members = family.members
-    if family.setting == BINARY:
-        codes = [m.coords() for m in members]
-    else:
-        if family.D < 3:
-            raise ValueError("the mod-D tensor needs D >= 3")
-        codes = [m.coords for m in members]
+    codes = [m.coords for m in members]
     masks = value_masks(codes, family.n)
     full = (1 << len(codes)) - 1
     for i, x in enumerate(codes):
@@ -681,7 +686,6 @@ class BoundCertificate:
     slice_count: int
     closed_form_bound: int
     conclusion: str
-    lemma: str = "diagonal-slice-rank"
 
     def to_json_dict(self) -> dict:
         out = {
@@ -693,7 +697,7 @@ class BoundCertificate:
             "slice_count": str(self.slice_count),
             "closed_form_bound": str(self.closed_form_bound),
             "conclusion": self.conclusion,
-            "lemma": self.lemma,
+            "lemma": "diagonal-slice-rank",
         }
         if self.diagonal_witness is not None:
             out["diagonal_witness"] = [m.to_line() for m in self.diagonal_witness]

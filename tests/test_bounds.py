@@ -82,6 +82,26 @@ def test_growth_rate_values():
         mod_growth_rate(2)
 
 
+def test_growth_rate_is_exact_at_the_cubes():
+    # 27 (D-1)^2 / 4 is a cube exactly when D = 2k^3 + 1, and g_D = 3k^2
+    exact = {D: mod_growth_rate(D).exact for D in range(3, 3000)}
+    assert {D: g for D, g in exact.items() if g is not None} == {
+        2 * k**3 + 1: 3 * k**2 for k in range(1, 12)
+    }
+    assert mod_growth_rate(2 * 10**60 + 1).exact == 3 * 10**40
+    assert mod_growth_rate(2 * 10**60 + 3).exact is None
+
+
+def test_growth_rate_past_the_float_range():
+    # the cube overflows a float; past D ~ 10^462 g_D itself does
+    for D in (10**160, 10**200, 10**700):
+        g = mod_growth_rate(D)
+        log2 = (math.log2(27) + 2 * math.log2(D - 1) - 2) / 3
+        assert g.exact is None
+        assert g.log2 == pytest.approx(log2, rel=1e-12)
+        assert g.value == (2**log2 if log2 < 1024 else math.inf)
+
+
 def test_growth_rate_strictly_increasing():
     values = [mod_growth_rate(D).value for D in range(3, 21)]
     assert all(a < b for a, b in zip(values, values[1:]))
@@ -134,8 +154,9 @@ def test_capset_reduction_degenerate_and_integer():
 
 @pytest.mark.parametrize("C", ["0", "1.2", "2.7552", "1e300"])
 def test_capacity_row_within_the_float_range(C):
+    C = Fraction(C)
     _, capacity = capset_capacity_reduction(3, C)
-    root = math.sqrt(float(1 + Fraction(C)))
+    root = math.sqrt(float(1 + C))
     assert (capacity.exact, capacity.value, capacity.log2) == (None, root, math.log2(root))
 
 
@@ -143,8 +164,9 @@ def test_capacity_row_within_the_float_range(C):
 def test_capacity_row_past_the_float_range(C):
     # float(1 + C) overflows; the root is checked against the integer square
     # root of 1 + C, which reads inf only where the root is past the float range
+    C = Fraction(C)
     _, capacity = capset_capacity_reduction(3, C)
-    one_plus_c = 1 + Fraction(C)
+    one_plus_c = 1 + C
     root = math.isqrt(math.floor(one_plus_c))
     assert capacity.exact is None
     assert capacity.log2 == pytest.approx(math.log2(root), rel=1e-12)

@@ -228,6 +228,33 @@ def test_bounds_at_the_integer_string_limit(capsys, tmp_path):
     assert not out_csv.exists()
 
 
+def test_bounds_at_large_n_is_refused_quickly(capsys):
+    # the binomial tails are summed one term from the last, so the layer
+    # count at n = 20000 is reached in well under a second, then refused
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bounds", "--n", "20000")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (2, "")
+    assert err == ("error: the exact layer-count value at n=20000 has more than 4300 digits,"
+                   " past the integer string limit\n")
+
+
+@pytest.mark.parametrize("exponent", [160, 200])
+def test_bounds_growth_rate_past_the_float_range(capsys, tmp_path, exponent):
+    # 27 (D-1)^2 / 4 overflows a float, g_D does not: its log2 is a third
+    # of the cube's exact log2
+    D = 10**exponent
+    out_csv = tmp_path / "bounds.csv"
+    code, _, err = run(capsys, "bounds", "--D", str(D), "--csv", str(out_csv))
+    assert (code, err) == (0, "")
+    with open(out_csv) as fh:
+        row = {r[0]: r for r in csv.reader(fh)}["mod-growth-rate"]
+    log2 = (math.log2(27) + 2 * math.log2(D - 1) - 2) / 3
+    assert row[2:4] == [str(D), ""]
+    assert float(row[5]) == pytest.approx(log2, rel=1e-12)
+    assert float(row[4]) == pytest.approx(2**log2, rel=1e-11)
+
+
 # --- verify-tensor ------------------------------------------------------------
 
 
@@ -295,6 +322,24 @@ def test_verify_tensor_large_D_is_a_resource_error(capsys, n):
     assert time.perf_counter() - start < 5
     assert (code, out) == (2, "")
     assert err == "error: the one-coordinate check over 185193 points at D=57 is over the cap\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "verify-tensor"])
+def test_large_D_is_refused_before_the_choice_table(family_file, capsys, monkeypatch, command):
+    # the caps are checked on the table's row count, 3(D-1) + 1, so a
+    # refusal at D = 300000 builds no table of that many rows
+    calls = []
+    choices = tensor_mod._choices
+    monkeypatch.setattr(tensor_mod, "_choices", lambda *args: calls.append(args) or choices(*args))
+    if command == "certify":
+        argv = ["certify", family_file("f.txt", "0,1\n1,2\n"), "--D", "300000"]
+    else:
+        argv = ["verify-tensor", "--setting", "mod-d", "--n", "0", "--D", "300000"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: the one-coordinate check over 27000000000000000 points at D=300000"
+                   " is over the cap\n")
+    assert calls == []
 
 
 def test_verify_tensor_requires_d(capsys):

@@ -50,7 +50,7 @@ def mod_family(D, *coord_rows):
 
 def test_subset_vector_basics():
     v = SubsetVector(4, 0b101)
-    assert v.coords() == (1, 0, 1, 0)
+    assert v.coords == (1, 0, 1, 0)
     assert v.weight == 2
     assert v.to_line() == "1010"
 
@@ -67,15 +67,24 @@ def test_vector_validation():
 def test_family_rejects_duplicates_and_mixtures():
     with pytest.raises(ValueError):
         Family.of([sv(1, 0), sv(1, 0)])
+    v = sv(1, 0)
+    with pytest.raises(ValueError, match="duplicate"):
+        Family(BINARY, 2, None, (v, v))
     with pytest.raises(ValueError):
         Family(BINARY, 2, None, (sv(1, 0), sv(1, 0, 0)))
     with pytest.raises(ValueError):
         Family(MOD, 1, 3, (dv(3, 0), dv(4, 1)))
 
 
+def test_family_of_needs_a_member():
+    # the setting is inferred from the first member
+    with pytest.raises(ValueError):
+        Family.of([])
+
+
 def test_family_members_sorted():
     f = binary_family((1, 1), (0, 1), (1, 0))
-    assert [m.coords() for m in f] == [(0, 1), (1, 0), (1, 1)]
+    assert [m.coords for m in f] == [(0, 1), (1, 0), (1, 1)]
 
 
 # --- text format ----------------------------------------------------------------
@@ -95,6 +104,11 @@ def test_parse_mod_family_infers_d():
     assert g.D == 5
 
 
+def test_parse_empty_text():
+    assert parse_family("# nothing\n") == Family(BINARY, 0, None, ())
+    assert parse_family("", D=5) == Family(MOD, 0, 5, ())
+
+
 def test_parse_round_trip():
     f = mod_family(4, (0, 3), (1, 2))
     assert parse_family(f.to_text(), D=4).members == f.members
@@ -103,8 +117,8 @@ def test_parse_round_trip():
 @given(st.integers(1, 6), st.data())
 def test_text_round_trip_random_binary_families(n, data):
     bits = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8, unique=True))
-    fam = Family.of([SubsetVector(n, b) for b in bits], n=n)
-    assert parse_family(fam.to_text(), n=n).members == fam.members
+    fam = Family(BINARY, n, None, tuple(SubsetVector(n, b) for b in bits))
+    assert parse_family(fam.to_text()).members == fam.members
 
 
 @given(st.integers(3, 6), st.integers(1, 4), st.data())
@@ -112,8 +126,8 @@ def test_text_round_trip_random_mod_families(D, n, data):
     rows = data.draw(
         st.lists(st.tuples(*[st.integers(0, D - 1)] * n), max_size=8, unique=True)
     )
-    fam = Family.of([DVector(n, D, t) for t in rows], n=n, D=D)
-    assert parse_family(fam.to_text(), D=D, n=n).members == fam.members
+    fam = Family(MOD, n, D, tuple(DVector(n, D, t) for t in rows))
+    assert parse_family(fam.to_text(), D=D).members == fam.members
 
 
 def test_parse_errors_carry_line_numbers():
@@ -204,7 +218,7 @@ def test_find_sunflower_examples():
     full = binary_family((0, 0), (1, 0), (0, 1), (1, 1))
     witness = find_sunflower(full)
     assert witness is not None
-    assert [m.coords() for m in witness] == [(0, 0), (0, 1), (1, 0)]
+    assert [m.coords for m in witness] == [(0, 0), (0, 1), (1, 0)]
     assert is_sunflower_free(binary_family((1, 0), (0, 1), (1, 1)))
     assert find_sunflower(mod_family(3, (0,), (1,), (2,))) is not None
 
@@ -248,8 +262,8 @@ def test_layer_split_examples():
 def test_layer_split_partitions():
     f = binary_family((1, 1, 0), (0, 1, 1), (1, 1, 1), (0, 0, 0))
     layers = layer_split(f)
-    got = sorted(m.coords() for fam in layers.values() for m in fam)
-    assert got == sorted(m.coords() for m in f)
+    got = sorted(m.coords for fam in layers.values() for m in fam)
+    assert got == sorted(m.coords for m in f)
     for w, fam in layers.items():
         assert all(m.weight == w for m in fam)
 
@@ -404,7 +418,7 @@ def test_planted_lex_largest_witness():
 @given(families())
 def test_completions_match_the_triple_predicates(fam):
     # every pair's mask, against the spec predicate on each distinct third
-    codes = [m.coords() if fam.setting == BINARY else m.coords for m in fam]
+    codes = [m.coords for m in fam]
     masks = value_masks(codes, fam.n)
     full = (1 << len(codes)) - 1
     for i, j in itertools.permutations(range(len(codes)), 2):

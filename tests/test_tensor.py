@@ -180,6 +180,10 @@ def test_tensor_value_validation():
         tensor_value(sv(1), sv(1, 0), sv(0))
     with pytest.raises(ValueError):
         tensor_value(dv(2, 0), dv(2, 1), dv(2, 0))
+    with pytest.raises(ValueError, match="mismatched"):
+        tensor_value(sv(1), dv(3, 1), sv(0))
+    with pytest.raises(ValueError, match="mismatched"):
+        tensor_value(dv(3, 1), dv(3, 0), sv(0))
 
 
 # --- expansion ----------------------------------------------------------------
@@ -1231,7 +1235,7 @@ def test_check_diagonal_edge_families(fam):
 def test_completions_are_the_support_of_t(fam):
     # the identity check_diagonal rests on, on repeated members too
     members = fam.members
-    codes = [m.coords() if fam.setting == BINARY else m.coords for m in members]
+    codes = [m.coords for m in members]
     masks = value_masks(codes, fam.n)
     full = (1 << len(codes)) - 1
     for i, x in enumerate(members):
@@ -1306,9 +1310,11 @@ def test_one_coordinate_check_owns_its_cap(monkeypatch, setting, D):
 def test_choice_table_is_the_one_coordinate_expansion():
     # decomposition_size counts keys of a table whose rows have at most 1
     # resp. 2 nonzero factor digits, so every term of the n-fold product has
-    # an axis of measure within n//3 resp. 2n//3
-    for setting, D in [(BINARY, None)] + [(MOD, D) for D in range(3, 8)]:
+    # an axis of measure within n//3 resp. 2n//3; the caps are checked on
+    # the table's length, _choice_count, before it is built
+    for setting, D in [(BINARY, None)] + [(MOD, D) for D in range(3, 13)]:
         table = tensor._choices(setting, D)
+        assert len(table) == tensor._choice_count(setting, D)
         assert list(expand_tensor(setting, 1, D).terms) == table
         most = 1 if setting == BINARY else 2
         assert all(sum(c != 0 for c in row[1:]) <= most for row in table)
