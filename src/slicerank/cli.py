@@ -81,8 +81,8 @@ def cmd_certify(args) -> int:
         return 1
     if args.json:
         Path(args.json).write_text(cert.to_json())
-    print(f"setting: {cert.setting}  n={cert.n}" + (f"  D={cert.D}" if cert.D else ""))
-    print(f"members: {len(cert.family)}")
+    print(f"setting: {family.setting}  n={family.n}" + (f"  D={family.D}" if family.D else ""))
+    print(f"members: {len(family)}")
     print(f"diagonal_ok: {str(cert.diagonal_ok).lower()}")
     if not cert.diagonal_ok:
         for m in cert.diagonal_witness:
@@ -170,10 +170,10 @@ def cmd_search(args) -> int:
 def cmd_encode(args) -> int:
     family = _load_family(args.family, None)
     encoded = pair_encode(family)
-    print(f"encoded {len(encoded.members)} members over {{0,1,2,3}}^{encoded.n}")
-    for m in encoded.members:
-        print("member: " + ",".join(str(s) for s in m))
-    supports = sorted({tuple(1 if s == 3 else 0 for s in m) for m in encoded.members})
+    print(f"encoded {len(encoded)} members over {{0,1,2,3}}^{encoded.n}")
+    for m in encoded:
+        print(f"member: {m.to_line()}")
+    supports = sorted({tuple(1 if s == 3 else 0 for s in m.coords) for m in encoded})
     layers = []
     all_capsets = True
     for x in supports:
@@ -194,7 +194,7 @@ def cmd_encode(args) -> int:
             args.json,
             {
                 "n": encoded.n,
-                "members": [",".join(str(s) for s in m) for m in encoded.members],
+                "members": [m.to_line() for m in encoded],
                 "layers": layers,
             },
         )

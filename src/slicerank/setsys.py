@@ -324,10 +324,6 @@ def find_sunflower(family: Family):
     return None
 
 
-def is_sunflower_free(family: Family) -> bool:
-    return find_sunflower(family) is None
-
-
 def layer_split(family: Family) -> dict[int, Family]:
     """Partition a binary family by weight; constant weight makes each layer
     an antichain (no member properly contains another)."""
@@ -343,17 +339,12 @@ def layer_split(family: Family) -> dict[int, Family]:
 # capsets
 
 
-def find_progression(family: Family):
-    """Lexicographically least distinct triple with x + y + z = 0 mod 3
-    (equivalently a three-term arithmetic progression), or None: over F_3
-    that is the least sunflower."""
+def is_capset(family: Family) -> bool:
+    """No distinct triple with x + y + z = 0 mod 3 (a three-term arithmetic
+    progression): over F_3 that is no sunflower."""
     if family.setting != MOD or family.D != 3:
         raise ValueError("capset predicates require the mod-3 setting")
-    return find_sunflower(family)
-
-
-def is_capset(family: Family) -> bool:
-    return find_progression(family) is None
+    return find_sunflower(family) is None
 
 
 # ---------------------------------------------------------------------------
@@ -362,27 +353,9 @@ def is_capset(family: Family) -> bool:
 _PAIR_TO_SYMBOL = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
 
 
-@dataclass(frozen=True)
-class EncodedFamily:
-    """A binary family over 2n coordinates re-read over the alphabet
-    {0,1,2,3}, one symbol per consecutive coordinate pair."""
-
-    n: int
-    members: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for m in self.members:
-            if len(m) != self.n or any(s not in (0, 1, 2, 3) for s in m):
-                raise ValueError("encoded members must be {0,1,2,3}^n tuples")
-            if m in seen:
-                raise ValueError("duplicate encoded member")
-            seen.add(m)
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
-
-
-def pair_encode(family: Family) -> EncodedFamily:
-    """Encode a binary family over 2n coordinates into {0,1,2,3}^n."""
+def pair_encode(family: Family) -> Family:
+    """Encode a binary family over 2n coordinates into {0,1,2,3}^n, one
+    symbol per consecutive coordinate pair, as a mod-4 family."""
     if family.setting != BINARY:
         raise ValueError("pair_encode applies to binary families")
     if family.n % 2:
@@ -390,12 +363,12 @@ def pair_encode(family: Family) -> EncodedFamily:
     half = family.n // 2
     encoded = []
     for m in family.members:
-        coords = m.coords
-        encoded.append(tuple(_PAIR_TO_SYMBOL[coords[2 * i], coords[2 * i + 1]] for i in range(half)))
-    return EncodedFamily(half, tuple(encoded))
+        c = m.coords
+        encoded.append(DVector(half, 4, tuple(_PAIR_TO_SYMBOL[p] for p in zip(c[::2], c[1::2]))))
+    return Family(MOD, half, 4, tuple(encoded))
 
 
-def layer_extract(encoded: EncodedFamily, x) -> Family:
+def layer_extract(encoded: Family, x) -> Family:
     """Members whose 3-symbols sit exactly at the support of x, with those
     coordinates deleted and the rest read as F_3 values."""
     xc = tuple(x)
@@ -405,7 +378,7 @@ def layer_extract(encoded: EncodedFamily, x) -> Family:
         raise ValueError("selector must be a 0/1 vector")
     picked = []
     for m in encoded.members:
-        if all((s == 3) == (c == 1) for s, c in zip(m, xc)):
-            rest = tuple(s for s, c in zip(m, xc) if c == 0)
+        if all((s == 3) == (c == 1) for s, c in zip(m.coords, xc)):
+            rest = tuple(s for s, c in zip(m.coords, xc) if c == 0)
             picked.append(DVector(len(rest), 3, rest))
     return Family(MOD, encoded.n - sum(xc), 3, tuple(picked))

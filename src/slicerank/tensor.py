@@ -147,6 +147,9 @@ def expand_tensor(setting: str, n: int, D: int | None = None) -> TermSum:
     if n < 0:
         raise ValueError("n must be nonnegative")
     count = _choice_count(setting, D)
+    # the one-coordinate cap comes before any term is built; verify needs
+    # the cached check anyway
+    _one_coordinate(setting, D)
     # binary: a choice's bits never meet another coordinate's, so + is |
     M = 2 if setting == BINARY else D
     if count**n > DEFAULT_MAX_TERMS:
@@ -465,17 +468,31 @@ def _diagram(obj):
 @lru_cache(maxsize=None)
 def _one_coordinate(setting: str, D: int | None):
     """(coef, level, denominator) of T's diagram at n = 1, checked against
-    the product form on all M^3 points, a scan capped in D as an exhaustive
-    one is."""
+    the product form, a check capped in D as an exhaustive scan of all M^3
+    points is.
+
+    Binary scans the 8 points.  Mod-D first checks that every row's
+    character (cx, cy, cz) sums to 0 mod D, so each row, and with it the
+    difference from T (which depends only on which arguments are equal), is
+    unchanged when t is added to all three arguments; the difference is
+    then 0 everywhere iff it is 0 on the D^2 points with x = 0."""
     # _choice_count first: it rejects a bad setting or D
     count = _choice_count(setting, D)
     cube = (2 if setting == BINARY else D) ** 3
     if cube * count > DEFAULT_WORK_CAP:
         raise ResourceLimitError(f"the one-coordinate check over {cube} points at D={D} is over the cap")
-    ts = TermSum(setting, 1, D, 1 if setting == BINARY else D, tuple(_choices(setting, D)))
+    failed = ArithmeticError(f"the {setting} expansion at n=1 is not the product form")
+    rows = tuple(_choices(setting, D))
+    if setting == BINARY:
+        points = _all_points(2, 1)
+    elif any((cx + cy + cz) % D for _, cx, cy, cz in rows):
+        raise failed
+    else:
+        points = (((0,), (b,), (c,)) for b in range(D) for c in range(D))
+    ts = TermSum(setting, 1, D, 1 if setting == BINARY else D, rows)
     diagram = _diagram(ts)
-    if _witness(ts, diagram, _all_points(_alphabet(ts), 1)) is not None:
-        raise ArithmeticError(f"the {setting} expansion at n=1 is not the product form")
+    if _witness(ts, diagram, points) is not None:
+        raise failed
     coef, (level,) = diagram
     return coef, level, ts.denominator
 
@@ -671,15 +688,13 @@ def check_diagonal(family: Family) -> DiagonalityReport:
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """A machine-checkable record justifying |A| <= slice_count: the family,
-    the diagonality verdict for T restricted to it (per weight layer in the
-    binary setting), and the slice count, proved without expanding, with the
-    closed-form bound attached for comparison.  The diagonal-tensor rank step
-    is trusted, not re-proved."""
+    """A machine-checkable record justifying |A| <= slice_count: the family
+    (whose setting, n and D are the certificate's), the diagonality verdict
+    for T restricted to it (per weight layer in the binary setting), and the
+    slice count, proved without expanding, with the closed-form bound
+    attached for comparison.  The diagonal-tensor rank step is trusted, not
+    re-proved."""
 
-    setting: str
-    n: int
-    D: int | None
     family: Family
     diagonal_ok: bool
     diagonal_witness: tuple | None
@@ -689,9 +704,9 @@ class BoundCertificate:
 
     def to_json_dict(self) -> dict:
         out = {
-            "setting": self.setting,
-            "n": self.n,
-            "D": self.D,
+            "setting": self.family.setting,
+            "n": self.family.n,
+            "D": self.family.D,
             "family": self.family.to_text(),
             "diagonal_ok": self.diagonal_ok,
             "slice_count": str(self.slice_count),
@@ -748,22 +763,11 @@ def certify_family(family: Family) -> BoundCertificate:
         report = check_diagonal(layer)
         if not report.ok:
             return BoundCertificate(
-                family.setting, family.n, family.D, family, False, report.witness,
-                slice_count, closed_form, "not-certified",
+                family, False, report.witness, slice_count, closed_form, "not-certified"
             )
     if not len(family) <= slice_count <= closed_form:
         raise CertificationError(
             f"expected |A| = {len(family)} <= slice count {slice_count}"
             f" <= closed form {closed_form}"
         )
-    return BoundCertificate(
-        family.setting,
-        family.n,
-        family.D,
-        family,
-        True,
-        None,
-        slice_count,
-        closed_form,
-        f"|A| <= {slice_count}",
-    )
+    return BoundCertificate(family, True, None, slice_count, closed_form, f"|A| <= {slice_count}")

@@ -209,15 +209,16 @@ def test_criterion_07_search_vs_bounds():
 
 def test_criterion_08_capset_layers():
     # the displayed encodings, bit-exact
-    assert pair_encode(Family.of([SubsetVector.from_coords((1, 0, 1, 1))])).members == ((1, 3),)
-    assert pair_encode(Family.of([SubsetVector.from_coords((0, 1, 0, 0))])).members == ((2, 0),)
+    for bits, symbols in [((1, 0, 1, 1), (1, 3)), ((0, 1, 0, 0), (2, 0))]:
+        encoded = pair_encode(Family.of([SubsetVector.from_coords(bits)]))
+        assert [m.coords for m in encoded] == [symbols]
 
     checked = 0
     for dim in (2, 4, 6, 8, 10):
         for seed in range(10):
             family = greedy_witness(SearchConfig(BINARY, dim), seed)
             enc = pair_encode(family)
-            supports = {tuple(1 if s == 3 else 0 for s in m) for m in enc.members}
+            supports = {tuple(1 if s == 3 else 0 for s in m.coords) for m in enc}
             for x in supports:
                 assert is_capset(layer_extract(enc, x))
             checked += 1

@@ -313,10 +313,10 @@ def test_verify_tensor_mod_sampled(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_verify_tensor_large_D_is_a_resource_error(capsys, n):
-    # the expansion fits the term cap at n <= 2, but the one-coordinate check
-    # would scan 57^3 points with 169 terms each
+    # the one-coordinate check would scan 57^3 points with 169 terms each;
+    # it is refused before the term cap, which the 169^3 terms at n = 3 are over
     start = time.perf_counter()
     code, out, err = run(capsys, "verify-tensor", "--setting", "mod-d", "--n", str(n), "--D", "57")
     assert time.perf_counter() - start < 5
@@ -324,17 +324,19 @@ def test_verify_tensor_large_D_is_a_resource_error(capsys, n):
     assert err == "error: the one-coordinate check over 185193 points at D=57 is over the cap\n"
 
 
-@pytest.mark.parametrize("command", ["certify", "verify-tensor"])
+@pytest.mark.parametrize("command", ["certify", "verify-tensor", "verify-tensor-n1"])
 def test_large_D_is_refused_before_the_choice_table(family_file, capsys, monkeypatch, command):
     # the caps are checked on the table's row count, 3(D-1) + 1, so a
-    # refusal at D = 300000 builds no table of that many rows
+    # refusal at D = 300000 builds no table of that many rows, nor at n = 1
+    # any of the 899998 terms that fit the term cap
     calls = []
     choices = tensor_mod._choices
     monkeypatch.setattr(tensor_mod, "_choices", lambda *args: calls.append(args) or choices(*args))
     if command == "certify":
         argv = ["certify", family_file("f.txt", "0,1\n1,2\n"), "--D", "300000"]
     else:
-        argv = ["verify-tensor", "--setting", "mod-d", "--n", "0", "--D", "300000"]
+        n = "1" if command.endswith("n1") else "0"
+        argv = ["verify-tensor", "--setting", "mod-d", "--n", n, "--D", "300000"]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == ("error: the one-coordinate check over 27000000000000000 points at D=300000"

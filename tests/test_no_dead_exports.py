@@ -16,7 +16,6 @@ USERS = SOURCES + sorted((ROOT / "scripts").glob("*.py"))
 REFERENCE_ORACLES = (
     "tensor_value",
     "is_sunflower",
-    "is_sunflower_free",
     "triple_is_sunflower",
     "brute_force_max",
 )
@@ -87,6 +86,36 @@ def test_reference_oracles_are_defined():
     defined = {definition.name for path in SOURCES
                for definition in _public_definitions(ast.parse(path.read_text()))}
     assert set(REFERENCE_ORACLES) <= defined
+
+
+# what the library's fast paths decide freeness and verify sums with: an
+# oracle that reads one of them checks the producer against itself
+FAST_PATHS = {"completions", "value_masks", "find_sunflower", "_diagram"}
+
+
+def test_reference_oracles_share_nothing_with_the_fast_paths():
+    # neither an oracle nor a module-private helper it reaches, directly or
+    # through another helper, reads a fast path
+    shared = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        helpers = {node.name: node for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and node.name.startswith("_")}
+        for oracle in _public_definitions(tree):
+            if oracle.name not in REFERENCE_ORACLES:
+                continue
+            reached, todo = {oracle.name}, [oracle]
+            while todo:
+                node = todo.pop()
+                names = _named(node)
+                shared += [f"{path.name} {oracle.name} via {node.name}: {name}"
+                           for name in sorted(names & FAST_PATHS)]
+                for name in sorted(names - reached):
+                    if name in helpers:
+                        reached.add(name)
+                        todo.append(helpers[name])
+    assert shared == []
 
 
 def _settable_values(tree):

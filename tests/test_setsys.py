@@ -10,16 +10,13 @@ from slicerank.setsys import (
     BINARY,
     MOD,
     DVector,
-    EncodedFamily,
     Family,
     FamilyFormatError,
     SubsetVector,
     completions,
-    find_progression,
     find_sunflower,
     is_capset,
     is_sunflower,
-    is_sunflower_free,
     layer_extract,
     layer_split,
     pair_encode,
@@ -219,7 +216,7 @@ def test_find_sunflower_examples():
     witness = find_sunflower(full)
     assert witness is not None
     assert [m.coords for m in witness] == [(0, 0), (0, 1), (1, 0)]
-    assert is_sunflower_free(binary_family((1, 0), (0, 1), (1, 1)))
+    assert find_sunflower(binary_family((1, 0), (0, 1), (1, 1))) is None
     assert find_sunflower(mod_family(3, (0,), (1,), (2,))) is not None
 
 
@@ -230,7 +227,7 @@ def test_find_sunflower_agrees_with_set_predicate():
     byset = any(
         is_sunflower(list(t)) for t in itertools.combinations(fam.members, 3)
     )
-    assert byset == (not is_sunflower_free(fam))
+    assert byset == (find_sunflower(fam) is not None)
 
 
 def test_layer_safety_exhaustive():
@@ -282,30 +279,33 @@ def test_capset_examples():
 def test_capset_equals_mod3_sunflower_free():
     # for D=3 a distinct triple is a sunflower iff it is a progression,
     # so the two freeness notions coincide; spot-check exhaustively at n=2
+    # against both triple scans
     pts = [dv(3, a, b) for a in range(3) for b in range(3)]
     for members in itertools.combinations(pts, 4):
         fam = Family.of(members)
-        assert is_capset(fam) == is_sunflower_free(fam)
+        assert is_capset(fam) == (_scan_progression(fam) is None) == (_scan_sunflower(fam) is None)
 
 
-def test_find_progression_witness_is_least():
+def test_least_mod3_sunflower_is_the_least_progression():
     fam = mod_family(3, (0, 0), (1, 1), (2, 2), (0, 1))
-    w = find_progression(fam)
-    assert [m.coords for m in w] == [(0, 0), (1, 1), (2, 2)]
+    assert [m.coords for m in find_sunflower(fam)] == [(0, 0), (1, 1), (2, 2)]
+    assert find_sunflower(fam) == _scan_progression(fam)
 
 
 # --- pair encoding ---------------------------------------------------------------
 
 
 def test_pair_encode_displayed_values():
-    assert pair_encode(binary_family((1, 0, 1, 1))).members == ((1, 3),)
-    assert pair_encode(binary_family((0, 1, 0, 0))).members == ((2, 0),)
+    enc = pair_encode(binary_family((1, 0, 1, 1)))
+    assert (enc.setting, enc.n, enc.D) == (MOD, 2, 4)
+    assert [m.coords for m in enc] == [(1, 3)]
+    assert [m.coords for m in pair_encode(binary_family((0, 1, 0, 0)))] == [(2, 0)]
 
 
 def test_pair_encode_is_one_symbol_per_coordinate_pair():
     # all 16 members of {0,1}^4 go to the 16 distinct pairs of symbols
     f = Family.of([sv(*coords) for coords in itertools.product((0, 1), repeat=4)])
-    assert pair_encode(f).members == tuple(itertools.product(range(4), repeat=2))
+    assert [m.coords for m in pair_encode(f)] == list(itertools.product(range(4), repeat=2))
 
 
 def test_pair_encode_rejects_odd_dimension():
@@ -314,20 +314,20 @@ def test_pair_encode_rejects_odd_dimension():
 
 
 def test_layer_extract_example():
-    enc = EncodedFamily(2, ((1, 3), (2, 3)))
+    enc = mod_family(4, (1, 3), (2, 3))
     fam = layer_extract(enc, (0, 1))
     assert fam.setting == MOD and fam.D == 3 and fam.n == 1
     assert [m.coords for m in fam] == [(1,), (2,)]
 
 
 def test_layer_extract_dimension_check():
-    enc = EncodedFamily(2, ((1, 3),))
+    enc = mod_family(4, (1, 3))
     with pytest.raises(ValueError):
         layer_extract(enc, (0, 1, 0))
 
 
 def test_layer_extract_full_support():
-    enc = EncodedFamily(1, ((3,), (0,)))
+    enc = mod_family(4, (3,), (0,))
     fam = layer_extract(enc, (1,))
     assert fam.n == 0 and len(fam) == 1
 
@@ -351,7 +351,7 @@ def greedy_free_binary_families(draw):
 @given(greedy_free_binary_families())
 def test_extracted_layers_of_free_families_are_capsets(fam):
     enc = pair_encode(fam)
-    supports = {tuple(1 if s == 3 else 0 for s in m) for m in enc.members}
+    supports = {tuple(1 if s == 3 else 0 for s in m.coords) for m in enc}
     for x in supports:
         assert is_capset(layer_extract(enc, x))
 
@@ -368,7 +368,8 @@ def _scan_sunflower(family):
 
 
 def _scan_progression(family):
-    """find_progression before the pair masks."""
+    """The least distinct triple with x + y + z = 0 mod 3: every triple,
+    combinations order."""
     for x, y, z in itertools.combinations(family.members, 3):
         if all((a + b + c) % 3 == 0 for a, b, c in zip(x.coords, y.coords, z.coords)):
             return (x, y, z)
@@ -383,8 +384,8 @@ def test_find_sunflower_matches_triple_scan(fam):
 
 @settings(max_examples=200, deadline=None)
 @given(families(settings=(MOD,), Ds=(3,)))
-def test_find_progression_matches_triple_scan(fam):
-    assert find_progression(fam) == _scan_progression(fam)
+def test_mod3_sunflower_matches_progression_scan(fam):
+    assert find_sunflower(fam) == _scan_progression(fam)
 
 
 @pytest.mark.parametrize(
@@ -405,13 +406,13 @@ def test_find_progression_matches_triple_scan(fam):
 def test_find_sunflower_edge_families(fam):
     assert find_sunflower(fam) == _scan_sunflower(fam)
     if fam.setting == MOD and fam.D == 3:
-        assert find_progression(fam) == _scan_progression(fam)
+        assert find_sunflower(fam) == _scan_progression(fam)
 
 
 def test_planted_lex_largest_witness():
     fam = mod_family(3, (0, 0), (0, 1), (2, 0), (2, 1), (2, 2))
     assert [m.coords for m in find_sunflower(fam)] == [(2, 0), (2, 1), (2, 2)]
-    assert [m.coords for m in find_progression(fam)] == [(2, 0), (2, 1), (2, 2)]
+    assert [m.coords for m in _scan_progression(fam)] == [(2, 0), (2, 1), (2, 2)]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1293,8 +1293,8 @@ def test_failed_slice_verification_is_a_certification_error(monkeypatch):
 
 @pytest.mark.parametrize("setting,D", [(BINARY, None), (MOD, 3), (MOD, 4)])
 def test_one_coordinate_check_owns_its_cap(monkeypatch, setting, D):
-    # the D^3-point scan is charged M^3 points times the terms at n = 1,
-    # whichever caller asks for it
+    # the check is charged as an exhaustive scan would be, M^3 points times
+    # the terms at n = 1, whichever caller asks for it
     cube = (2 if D is None else D) ** 3
     work = cube * len(expand_tensor(setting, 1, D).terms)
     tensor._one_coordinate.cache_clear()
@@ -1305,6 +1305,32 @@ def test_one_coordinate_check_owns_its_cap(monkeypatch, setting, D):
     coef, level, denominator = tensor._one_coordinate(setting, D)
     assert denominator == (1 if D is None else D)
     tensor._one_coordinate.cache_clear()
+
+
+def _shift_phase(rows):
+    # the first (1, j, D - j, 0) row becomes (1, j, D - j - 1, 1): still a
+    # character that sums to 0 mod D, but not T's, and wrong on the x = 0 plane
+    i = next(i for i, row in enumerate(rows) if row[0] == 1 and row[3] == 0)
+    _, j, k, _ = rows[i]
+    return rows[:i] + [(1, j, k - 1, 1)] + rows[i + 1:]
+
+
+def _break_invariant(rows):
+    # the first (1, j, D - j, 0) row becomes (1, j + 1, D - j, 0): on the
+    # x = 0 plane it is the old row, so only the invariance check sees it
+    i = next(i for i, row in enumerate(rows) if row[0] == 1 and row[3] == 0)
+    _, j, k, _ = rows[i]
+    return rows[:i] + [(1, j + 1, k, 0)] + rows[i + 1:]
+
+
+@pytest.mark.parametrize("D", [3, 4, 7])
+@pytest.mark.parametrize("mutate", [_shift_phase, _break_invariant])
+def test_one_coordinate_check_rejects_a_wrong_row(monkeypatch, mutate, D):
+    choices = tensor._choices
+    tensor._one_coordinate.cache_clear()
+    monkeypatch.setattr(tensor, "_choices", lambda setting, D: mutate(choices(setting, D)))
+    with pytest.raises(ArithmeticError, match="mod-d expansion at n=1 is not the product form"):
+        tensor._one_coordinate(MOD, D)
 
 
 def test_choice_table_is_the_one_coordinate_expansion():
@@ -1371,10 +1397,9 @@ def test_certificate_json_fields():
 def test_failure_certificate_json_fields():
     a = sv(1, 0)
     b = sv(1, 1)
-    cert = BoundCertificate(
-        BINARY, 2, None, Family.of([a, b]), False, (a, a, b), 6, 9, "not-certified"
-    )
+    cert = BoundCertificate(Family.of([a, b]), False, (a, a, b), 6, 9, "not-certified")
     data = json.loads(cert.to_json())
+    assert (data["setting"], data["n"], data["D"]) == (BINARY, 2, None)
     assert data["diagonal_ok"] is False
     assert data["diagonal_witness"] == ["10", "10", "11"]
     assert data["family"] == "10\n11\n"
