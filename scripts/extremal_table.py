@@ -4,7 +4,9 @@ closed-form bounds.
 
 The defaults reach binary n=6 and mod-4 n=3, both proved optimal in well
 under a second.  With `--capset-max 4` the capset rows reach n=4, proved
-optimal (max 20, 605,107 nodes) in about 5 s.  Example:
+optimal (max 20, 605,107 nodes), and with `--binary-max 7` the binary rows
+reach n=7, proved optimal (max 29, 1,558,799 nodes); each takes about 2-3 s
+on a 2-vCPU VM.  `scripts/search_scaling.py` times these instances.  Example:
     python scripts/extremal_table.py --binary-max 4 --mod 3:2 --capset-max 2
 """
 

@@ -16,12 +16,13 @@ node whose pool P (its members and the candidates still open to it)
 satisfies sum_v min(m(k), |P & S_jv|) <= |best| for some coordinate j, with
 S_jv the candidates whose coordinate j is v, cannot beat the best family
 and is cut.  |P| <= |best| is the plain size cut.  Both are retested at
-every sibling, and neither drops a branch that could beat the best.  In the
-binary setting a slice bound reads one popcount per coordinate: with
-c = |P & S_j0|, |P & S_j1| = |P| - c, and once |P| > |best| the bound
-min(m, c) + min(m, |P| - c) <= |best| holds iff t >= m or
-min(c, |P| - c) <= t, where t = |best| - m.  One node budget covers all
-levels, and `nodes` counts every level.
+every sibling, and neither drops a branch that could beat the best.  A
+slice bound reads M - 1 popcounts per coordinate, as within the level the
+last value's count is |P| minus the others'.  Once |P| > |best| it fails
+if m > |best|, the sum being at least min(m, |P|); in the binary setting,
+with c = |P & S_j0| and t = |best| - m, it holds iff t >= m or
+min(c, |P| - c) <= t.  One node budget covers all levels, and `nodes`
+counts every level.
 
 Sets of candidates are Python ints used as bitmasks.  Each node carries its
 alive mask: the candidates above its largest member that can still join it.
@@ -42,15 +43,19 @@ triple is a sunflower iff x + y + z = 0 at every coordinate) they also
 include the transvections x_i <- x_i + x_j, and so generate the affine
 group AGL(n, 3), which preserves that predicate.  Each is stored as the
 permutation it induces on candidate indices; since candidate order is
-lexicographic order, comparing sorted index images is comparing
-sorted member images.  The search keeps, for every generator, the mask of
-the current partial's image.  Of two index sets of equal size, the one
-holding the lowest bit of their symmetric difference has the lex-smaller
-sorted tuple, so an extension is rejected when some image holds that bit;
-an accepted one's image masks, built by that test, become the child's.
-If a symmetry g maps a prefix of the lex-least maximum family F to a
-lex-smaller set, it maps F to a lex-smaller maximum family, so testing any
-set of symmetries never loses the optimum.
+lexicographic order, comparing sorted index images is comparing sorted
+member images.  The masks of that test are bit-reversed, candidate j at
+bit N - 1 - j for the N = M^k candidates of level k, and so are the
+generators' entries.  Of two index sets of equal size, the one holding the
+lowest index where they differ has the lex-smaller sorted tuple; reversed,
+that index is their highest differing bit, so that set is the larger int.
+The search keeps, for every generator, the reversed mask of the current
+partial's image, and rejects an extension when some extended image is
+larger than the extended partial: one integer compare per generator.  An
+accepted one's image masks become the child's.  If a symmetry g maps a
+prefix of the lex-least maximum family F to a lex-smaller set, it maps F to
+a lex-smaller maximum family, so testing any set of symmetries never loses
+the optimum.
 """
 
 from __future__ import annotations
@@ -146,27 +151,31 @@ def _bad_triple(cfg_setting: str, x, y, z) -> bool:
 
 
 def _symmetry_generators(cfg: SearchConfig) -> list[array]:
-    """The generators as permutations of candidate indices: the n - 1
-    coordinate swaps (i, i+1); outside the binary setting, the n(M - 1)
-    value swaps (a, a+1) at one coordinate (every permutation of F_3 is
-    affine); and over F_3, the n(n - 1) transvections x_i <- x_i + x_j,
-    which with the others generate AGL(n, 3)."""
+    """The generators as permutations of candidate indices, each entry
+    stored bit-reversed (N - 1 - g(x) for N candidates, as the canonicity
+    masks are): the n - 1 coordinate swaps (i, i+1); outside the binary
+    setting, the n(M - 1) value swaps (a, a+1) at one coordinate (every
+    permutation of F_3 is affine); and over F_3, the n(n - 1) transvections
+    x_i <- x_i + x_j, which with the others generate AGL(n, 3)."""
     q, n = cfg.alphabet, cfg.n
     cands = _candidates(cfg)
+    top = len(cands) - 1
     w = [q ** (n - 1 - i) for i in range(n)]  # candidate index = sum c[i] * w[i]
     gens = [
-        array("H", [x + (c[i + 1] - c[i]) * (w[i] - w[i + 1]) for x, c in enumerate(cands)])
+        array("H", [top - x - (c[i + 1] - c[i]) * (w[i] - w[i + 1]) for x, c in enumerate(cands)])
         for i in range(n - 1)
     ]
     if cfg.setting != BINARY:
         gens += [
-            array("H", [x + ((c[i] == a) - (c[i] == a + 1)) * w[i] for x, c in enumerate(cands)])
+            array("H", [
+                top - x - ((c[i] == a) - (c[i] == a + 1)) * w[i] for x, c in enumerate(cands)
+            ])
             for i in range(n)
             for a in range(q - 1)
         ]
     if q == 3:  # capset, or mod-D at D = 3: the same predicate
         gens += [
-            array("H", [x + ((c[i] + c[j]) % 3 - c[i]) * w[i] for x, c in enumerate(cands)])
+            array("H", [top - x - ((c[i] + c[j]) % 3 - c[i]) * w[i] for x, c in enumerate(cands)])
             for i in range(n)
             for j in range(n)
             if i != j
@@ -174,16 +183,14 @@ def _symmetry_generators(cfg: SearchConfig) -> list[array]:
     return gens
 
 
-def _canonical_images(images: list, group, q: int, i: int):
-    """The images of the partial with mask q extended by candidate i, or
-    None if one is lex-smaller than it.  images[g] is the mask of group[g]
-    applied to the partial."""
-    q |= 1 << i
+def _canonical_images(images: list, group, r: int, i: int):
+    """The reversed image masks of the partial extended by candidate i, or
+    None if one is lex-smaller than it.  r is the extended partial's reversed
+    mask and images[g] the reversed mask of group[g] applied to the partial."""
     out = []
     for x, perm in zip(images, group):
         x |= 1 << perm[i]
-        d = x ^ q
-        if x & d & -d:  # the lowest differing candidate is in the image
+        if x > r:  # the image holds the lowest differing candidate, its highest bit
             return None
         out.append(x)
     return out
@@ -215,14 +222,13 @@ class _Search:
         self.best: tuple = ()
         self.sub_max = sub_max
         self.group = group
-        self.images = [0] * len(group) if group is not None else None
-        # one list per coordinate j of the level: the masks S_jv over the values v;
-        # binary keeps one mask per coordinate, as within the level the other
-        # value's mask is the rest of the pool
-        slices = [list(col.values()) for col in self.masks[self.cfg.n - k:]]
+        self.top = self.cfg.alphabet**k - 1
+        # per coordinate j of the level, the masks S_jv of the first M - 1 values
+        # v: within the level the last value's mask is the rest of the pool
+        slices = [list(col.values())[:-1] for col in self.masks[self.cfg.n - k:]]
         self.slices = [col[0] for col in slices] if self.binary else slices
         self._visit(())
-        self.run((), 0, (1 << self.cfg.alphabet**k) - 1)
+        self.run((), 0, 0, None if group is None else [0] * len(group), (2 << self.top) - 1)
 
     def _visit(self, partial: tuple):
         self.nodes += 1
@@ -250,12 +256,13 @@ class _Search:
         count = pool.bit_count()
         if count <= size:
             return True
+        # as count > size, sum_v min(m, c_v) >= min(m, count) > size if m > size
+        t = size - m
+        if t < 0:
+            return False
         if self.binary:
             # min(m, c) + min(m, count - c) <= size, with c the count at value
-            # 0 or 1: as count > size, iff t >= m or min(c, count - c) <= t
-            t = size - m
-            if t < 0:
-                return False
+            # 0: iff t >= m or min(c, count - c) <= t
             if t >= m:
                 return bool(self.slices)
             for s in self.slices:
@@ -264,15 +271,21 @@ class _Search:
                     return True
             return False
         for col in self.slices:
-            if sum([min(m, (pool & s).bit_count()) for s in col]) <= size:
+            bound, rest = 0, count
+            for s in col:
+                c = (pool & s).bit_count()
+                rest -= c
+                bound += c if c < m else m
+            if bound + (rest if rest < m else m) <= size:
                 return True
         return False
 
-    def run(self, partial: tuple, q: int, alive: int) -> None:
-        """Extend `partial` (mask q) by each candidate of `alive`, the
-        candidates above its last member that can join it, in increasing
-        order, retesting the cut as `rest` shrinks and `best` grows."""
-        group = self.group
+    def run(self, partial: tuple, q: int, r: int, images, alive: int) -> None:
+        """Extend `partial` (mask q, reversed mask r and images) by each of
+        `alive`, the candidates above its last member that can join it, in
+        increasing order, retesting the cut as `rest` shrinks and `best` grows."""
+        group, kills, total, top = self.group, self.kills, len(self.cands), self.top
+        ri, child = r, None  # without generators, the child's are unused
         rest = alive
         while rest:
             if self._beaten(q | rest):
@@ -281,20 +294,17 @@ class _Search:
             rest ^= low
             i = low.bit_length() - 1
             if group is not None:
-                images = _canonical_images(self.images, group, q, i)
-                if images is None:
+                ri = r | 1 << top - i
+                child = _canonical_images(images, group, ri, i)
+                if child is None:
                     continue
             dead = 0
             for a in partial:
-                dead |= self._kill(a, i)
+                mask = kills.get(a * total + i)
+                dead |= self._kill(a, i) if mask is None else mask
             extended = partial + (i,)
             self._visit(extended)
-            if group is None:
-                self.run(extended, q | low, rest & ~dead)
-            else:
-                images, self.images = self.images, images
-                self.run(extended, q | low, rest & ~dead)
-                self.images = images
+            self.run(extended, q | low, ri, child, rest & ~dead)
 
 
 def _to_family(cfg: SearchConfig, members) -> Family:

@@ -92,3 +92,21 @@ def test_certify_scaling_times_each_stage():
     layers = int(rows[0][3])
     assert int(rows[0][8]) == layers * decomposition_size(BINARY, 6)
     assert int(rows[1][8]) == decomposition_size(MOD, 3, 3)
+
+
+def test_search_scaling_times_each_instance():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "scripts/search_scaling.py",
+         "--instances", "binary:3", "capset:2", "mod-4:2", "--budget", "15"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["setting", "n", "D", "max", "optimal", "nodes", "seconds"]
+    assert [row[:6] for row in rows] == [
+        ["binary", "3", "-", "4", "False", "16"],  # stopped one node past the budget
+        ["capset", "2", "-", "4", "True", "11"],
+        ["mod-d", "2", "4", "4", "True", "15"],
+    ]
+    assert all(float(row[6]) >= 0 for row in rows)

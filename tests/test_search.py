@@ -198,8 +198,8 @@ def test_capset_and_mod3_searches_agree(n):
 
 
 def _reference_beaten(columns, size, m, pool):
-    """The cut before the one-popcount binary form: the size cut, then the
-    slice bound summed over each coordinate's value masks."""
+    """The cut before the popcount forms: the size cut, then the slice bound
+    summed over each coordinate's value masks, all M of them."""
     if pool.bit_count() <= size:
         return True
     for col in columns:
@@ -208,16 +208,32 @@ def _reference_beaten(columns, size, m, pool):
     return False
 
 
-@pytest.mark.parametrize("k", range(7))
+# every level of each config, ids prefixed by setting (binary keeps plain level ids)
+_CUT_CONFIGS = {
+    "": SearchConfig(BINARY, 6),
+    "mod-3-": SearchConfig(MOD, 3, D=3),
+    "mod-4-": SearchConfig(MOD, 3, D=4),
+    "mod-5-": SearchConfig(MOD, 3, D=5),
+    "capset-": SearchConfig(CAPSET, 4),
+}
+
+
+@pytest.mark.parametrize("cfg,k", [
+    pytest.param(cfg, k, id=f"{prefix}{k}")
+    for prefix, cfg in _CUT_CONFIGS.items()
+    for k in range(cfg.n + 1)
+])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_binary_cut_matches_reference(k, data):
-    n = 6
-    cfg = SearchConfig(BINARY, n)
+def test_binary_cut_matches_reference(cfg, k, data):
+    """`_beaten` at level k, which reads the first M - 1 value masks per
+    coordinate (one in the binary setting), agrees with the reference over
+    all M of them on drawn pools, best sizes and sub-level maxima."""
     search = _Search(cfg, _candidates(cfg))
     search.level(k, 0, None)  # m(k - 1) = 0 cuts level k >= 1 at its root
-    columns = [list(col.values()) for col in search.masks[n - k:]]
-    level = 2**k
+    columns = [list(col.values()) for col in search.masks[cfg.n - k:]]
+    assert all(len(col) == cfg.alphabet for col in columns)
+    level = cfg.alphabet**k
     for _ in range(8):
         pool = data.draw(st.integers(0, (1 << level) - 1), label="pool")
         size = data.draw(st.integers(0, level), label="size")
@@ -295,15 +311,18 @@ def test_affine_reference_group_has_agl_order(n, order):
 def test_canonicity_matches_member_orbits(cfg):
     """The generators are symmetries, and the image-mask test over them
     rejects only partials that are not lex-least in their orbit of member
-    tuples under the full group."""
+    tuples under the full group.  Masks are bit-reversed: candidate j is
+    bit N - 1 - j, as are the generators' entries."""
     cands = _candidates(cfg)
+    top = len(cands) - 1
     group = _symmetry_generators(cfg)
     reference = _reference_group(cfg)
     full = {tuple(perm) for perm in _reference_perms(cfg, cands)}
     n, M = cfg.n, cfg.alphabet
     transvections = n * (n - 1) if M == 3 else 0
     assert len(group) == n - 1 + (0 if cfg.setting == BINARY else n * (M - 1)) + transvections
-    for perm in group:
+    for rev in group:
+        perm = [top - p for p in rev]
         assert tuple(perm) in full
         for x, y, z in itertools.combinations(range(len(cands)), 3):
             if _bad_triple(cfg.setting, cands[x], cands[y], cands[z]):
@@ -314,18 +333,33 @@ def test_canonicity_matches_member_orbits(cfg):
             members = tuple(cands[i] for i in partial)
             if partial:
                 *prefix, i = partial
-                images = [sum(1 << perm[j] for j in prefix) for perm in group]
-                q = sum(1 << j for j in prefix)
-                extended = _canonical_images(images, group, q, i)
+                images = [sum(1 << rev[j] for j in prefix) for rev in group]
+                r = sum(1 << top - j for j in partial)
+                extended = _canonical_images(images, group, r, i)
                 verdict = extended is not None
                 if verdict:  # the images of the extended partial
-                    assert extended == [sum(1 << perm[j] for j in partial) for perm in group]
+                    assert extended == [sum(1 << rev[j] for j in partial) for rev in group]
             else:
                 verdict = True  # the root is never tested
             if _reference_is_canonical(members, reference):
                 assert verdict, partial
             rejected += not verdict
     assert rejected
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reversed_masks_order_equal_size_sets_lex(data):
+    # of two index sets of equal size, the lex-smaller sorted tuple has the
+    # larger bit-reversed mask: the canonicity test's one compare
+    total = data.draw(st.integers(1, 70), label="N")
+    size = data.draw(st.integers(0, total), label="size")
+    a, b = (
+        sorted(data.draw(st.sets(st.integers(0, total - 1), min_size=size, max_size=size)))
+        for _ in range(2)
+    )
+    ra, rb = (sum(1 << total - 1 - j for j in s) for s in (a, b))
+    assert (ra > rb, ra == rb) == (a < b, a == b)
 
 
 def _can_join(setting: str, members, c) -> bool:
