@@ -4,12 +4,11 @@
 The default instances are the four that bound the search's reach at the
 default node budget: capset n=4 (proved, max 20), capset n=5 and mod-4 n=4
 (both stopped by the budget) and binary n=7 (proved, max 29).  Each row is
-one in-process search, timed with `time.perf_counter`; seconds are the
-minimum over --repeats runs, and the other columns come from the last one.
+one in-process search, timed with `time.perf_counter`.
 
 Example:
     python scripts/search_scaling.py
-    python scripts/search_scaling.py --instances binary:5 capset:3 --repeats 3
+    python scripts/search_scaling.py --instances binary:5 capset:3
 """
 
 import argparse
@@ -35,19 +34,16 @@ def main() -> None:
     parser.add_argument("--instances", nargs="+", default=DEFAULT_INSTANCES,
                         help="binary:N, capset:N or mod-D:N, e.g. capset:5 mod-4:4")
     parser.add_argument("--budget", type=int, default=2_000_000, help="node budget per search")
-    parser.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args()
 
     print("setting n D max optimal nodes seconds")
     for spec in args.instances:
         cfg = parse_instance(spec, args.budget)
-        best = float("inf")
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            result = max_free_family(cfg)
-            best = min(best, time.perf_counter() - start)
+        start = time.perf_counter()
+        result = max_free_family(cfg)
+        seconds = time.perf_counter() - start
         print(f"{cfg.setting} {cfg.n} {cfg.D if cfg.D is not None else '-'} {result.max_size}"
-              f" {result.optimal} {result.nodes} {best:.3f}")
+              f" {result.optimal} {result.nodes} {seconds:.3f}")
 
 
 if __name__ == "__main__":

@@ -239,14 +239,12 @@ class _Search:
             self.best = partial
 
     def _kill(self, a: int, b: int) -> int:
-        """Mask of the candidates c > b that form a forbidden triple with a, b."""
+        """Mask of the candidates c > b that form a forbidden triple with a, b,
+        stored in `kills` under the key a * len(cands) + b that `run` reads."""
         total = len(self.cands)
-        key = a * total + b
-        mask = self.kills.get(key)
-        if mask is None:
-            above = ((1 << total) - 1) & -(2 << b)
-            mask = completions(self.rule, self.masks, self.cands[a], self.cands[b], above)
-            self.kills[key] = mask
+        above = ((1 << total) - 1) & -(2 << b)
+        mask = completions(self.rule, self.masks, self.cands[a], self.cands[b], above)
+        self.kills[a * total + b] = mask
         return mask
 
     def _beaten(self, pool: int) -> bool:

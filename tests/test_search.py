@@ -460,6 +460,7 @@ def test_kill_masks_match_triple_scan(cfg):
             1 << c for c in range(b + 1, total)
             if _bad_triple(cfg.setting, cands[a], cands[b], cands[c])
         )
+        assert search.kills.get(a * total + b, scan) == scan, (a, b)
         assert search._kill(a, b) == scan, (a, b)
     assert len(search.kills) == math.comb(total, 2)
 
