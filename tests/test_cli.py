@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib.util
 import json
 import math
@@ -120,6 +121,14 @@ def test_certify_failed_lemma_is_an_error(family_file, capsys, monkeypatch):
     monkeypatch.setattr(tensor_mod, "_choices", lambda setting, D: [(1, 0, 0, 0)])
     path = family_file("f.txt", "10\n01\n")
     code, out, err = run(capsys, "certify", path)
+    assert (code, out) == (1, "")
+    assert err == "error: the binary expansion at n=1 is not the product form\n"
+
+
+def test_verify_tensor_failed_lemma_is_an_error(capsys, monkeypatch):
+    tensor_mod._one_coordinate.cache_clear()
+    monkeypatch.setattr(tensor_mod, "_choices", lambda setting, D: [(1, 0, 0, 0)])
+    code, out, err = run(capsys, "verify-tensor", "--setting", "binary", "--n", "2")
     assert (code, out) == (1, "")
     assert err == "error: the binary expansion at n=1 is not the product form\n"
 
@@ -373,6 +382,51 @@ def test_verify_tensor_rejects_sample_count_below_one(capsys, samples):
         capsys, "verify-tensor", "--setting", "binary", "--n", "2", "--samples", samples
     )
     assert code == 2 and "sample" in err and out == ""
+
+
+def _drop_a_slice_term(monkeypatch):
+    monkeypatch.setattr(tensor_mod, "decompose",
+                        lambda ts: _drop_last_residual_term(decompose(ts)))
+
+
+@pytest.mark.parametrize(
+    "argv, broken",
+    [
+        (["--setting", "binary", "--n", "5"], False),
+        (["--setting", "mod-d", "--n", "3", "--D", "4"], False),
+        (["--setting", "binary", "--n", "3"], True),  # runs the witness scan
+    ],
+)
+def test_verify_tensor_leaves_no_cyclic_garbage(capsys, monkeypatch, argv, broken):
+    # what verify-tensor's pause of the cyclic collector rests on: nothing
+    # the pipeline builds is in a cycle, so a collection could free nothing
+    if broken:
+        _drop_a_slice_term(monkeypatch)
+    run(capsys, "verify-tensor", *argv)  # builds the cached parser once
+    gc.collect()
+    code = main(["verify-tensor", *argv])
+    assert gc.collect() == 0
+    assert code == (1 if broken else 0)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "case, n, expected",
+    [("pass", "3", 0), ("mismatch", "3", 1), ("lemma", "3", 1), ("over-cap", "11", 2)],
+)
+def test_verify_tensor_restores_the_collector(capsys, monkeypatch, enabled, case, n, expected):
+    if case == "mismatch":
+        _drop_a_slice_term(monkeypatch)
+    elif case == "lemma":
+        tensor_mod._one_coordinate.cache_clear()
+        monkeypatch.setattr(tensor_mod, "_choices", lambda setting, D: [(1, 0, 0, 0)])
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code, _, _ = run(capsys, "verify-tensor", "--setting", "binary", "--n", n)
+        assert (code, gc.isenabled()) == (expected, enabled)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # --- search -------------------------------------------------------------------

@@ -110,3 +110,19 @@ def test_search_scaling_times_each_instance():
         ["mod-d", "2", "4", "4", "True", "15"],
     ]
     assert all(float(row[6]) >= 0 for row in rows)
+
+
+def test_verify_scaling_times_each_instance():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "scripts/verify_scaling.py", "--instances", "binary:3", "mod-3:2"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["setting", "n", "D", "terms", "slices", "seconds"]
+    assert [row[:5] for row in rows] == [
+        ["binary", "3", "-", str(4**3), str(decomposition_size(BINARY, 3))],
+        ["mod-d", "2", "3", str(6**2), str(decomposition_size(MOD, 2, 3))],
+    ]
+    assert all(float(row[5]) >= 0 for row in rows)
