@@ -28,9 +28,7 @@ from slicerank import cli, tensor
 from slicerank.setsys import (
     BINARY,
     MOD,
-    DVector,
     Family,
-    SubsetVector,
     completions,
     find_sunflower,
     layer_split,
@@ -61,9 +59,7 @@ def free_family(setting: str, n: int, D: int | None, size: int, seed: int) -> Fa
         for col, v in zip(masks, c):
             col[v] = col.get(v, 0) | 1 << len(codes)
         codes.append(c)
-    if setting == BINARY:
-        return Family(BINARY, n, None, tuple(SubsetVector.from_coords(c) for c in codes))
-    return Family(MOD, n, D, tuple(DVector(n, D, c) for c in codes))
+    return Family(setting, n, D, tuple(codes))
 
 
 def _cold():

@@ -64,7 +64,7 @@ def cmd_detect(args) -> int:
         return 0
     print("sunflower-free: false")
     for m in witness:
-        print(f"witness: {m.to_line()}")
+        print(f"witness: {family.line(m)}")
     return 1
 
 
@@ -75,7 +75,7 @@ def cmd_certify(args) -> int:
     except tensor_mod.NotSunflowerFree as exc:
         print("not sunflower-free; cannot certify")
         for m in exc.witness:
-            print(f"witness: {m.to_line()}")
+            print(f"witness: {family.line(m)}")
         return 1
     except tensor_mod.CertificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -87,7 +87,7 @@ def cmd_certify(args) -> int:
     print(f"diagonal_ok: {str(cert.diagonal_ok).lower()}")
     if not cert.diagonal_ok:
         for m in cert.diagonal_witness:
-            print(f"witness: {m.to_line()}")
+            print(f"witness: {family.line(m)}")
         return 1
     print(f"slice_count: {cert.slice_count}")
     print(f"closed_form_bound: {cert.closed_form_bound}")
@@ -173,16 +173,19 @@ def cmd_search(args) -> int:
     )
     result = search_mod.max_free_family(cfg)
     report = search_mod.validate_against_bounds(result, cfg)
+    # built before any artifact is written, so a witness the text format
+    # cannot hold leaves no file behind
+    witness_text = result.witness.to_text() if args.witness_out else None
     if args.json:
         _write_json(args.json, result.to_json_dict())
     if args.witness_out:
-        Path(args.witness_out).write_text(result.witness.to_text())
+        Path(args.witness_out).write_text(witness_text)
     print(f"max: {result.max_size}")
     print(f"optimal: {str(result.optimal).lower()}")
     print(f"nodes: {result.nodes}")
     print(f"bound: {report['bound']} ({report['bound_name']})")
     for m in result.witness:
-        print(f"member: {m.to_line()}")
+        print(f"member: {result.witness.line(m)}")
     return 0
 
 
@@ -191,8 +194,8 @@ def cmd_encode(args) -> int:
     encoded = pair_encode(family)
     print(f"encoded {len(encoded)} members over {{0,1,2,3}}^{encoded.n}")
     for m in encoded:
-        print(f"member: {m.to_line()}")
-    supports = sorted({tuple(1 if s == 3 else 0 for s in m.coords) for m in encoded})
+        print(f"member: {encoded.line(m)}")
+    supports = sorted({tuple(1 if s == 3 else 0 for s in m) for m in encoded})
     layers = []
     all_capsets = True
     for x in supports:
@@ -204,7 +207,7 @@ def cmd_encode(args) -> int:
         layers.append(
             {
                 "x": xs,
-                "members": [m.to_line() for m in fam],
+                "members": [fam.line(m) for m in fam],
                 "capset": capset_ok,
             }
         )
@@ -213,7 +216,7 @@ def cmd_encode(args) -> int:
             args.json,
             {
                 "n": encoded.n,
-                "members": [m.to_line() for m in encoded],
+                "members": [encoded.line(m) for m in encoded],
                 "layers": layers,
             },
         )

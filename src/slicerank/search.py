@@ -1,6 +1,8 @@
 """Exact extremal search at small instance sizes.
 
-Branch-and-bound over the candidate vectors in lexicographic order.  A
+Branch-and-bound over the candidates, the M^n coordinate tuples of
+range(M)^n in lexicographic order; a tuple is also a `setsys.Family`
+member as it stands, so the witness family holds candidates themselves.  A
 partial family is an increasing tuple of candidate indices, and the search
 visits partials in depth-first preorder, which is lexicographic order on the
 index tuples: the first family found at each size is the lexicographically
@@ -70,9 +72,7 @@ from .setsys import (
     BINARY,
     CAPSET,
     MOD,
-    DVector,
     Family,
-    SubsetVector,
     completions,
     value_masks,
 )
@@ -120,7 +120,7 @@ class SearchResult:
             "max": self.max_size,
             "optimal": self.optimal,
             "nodes": self.nodes,
-            "witness": [m.to_line() for m in self.witness],
+            "witness": [self.witness.line(m) for m in self.witness],
         }
 
 
@@ -306,11 +306,8 @@ class _Search:
 
 
 def _to_family(cfg: SearchConfig, members) -> Family:
-    if cfg.setting == BINARY:
-        vecs = [SubsetVector.from_coords(m) for m in members]
-        return Family(BINARY, cfg.n, None, tuple(vecs))
-    vecs = [DVector(cfg.n, cfg.alphabet, m) for m in members]
-    return Family(MOD, cfg.n, cfg.alphabet, tuple(vecs))
+    D = None if cfg.setting == BINARY else cfg.alphabet
+    return Family(_rule(cfg), cfg.n, D, tuple(members))
 
 
 def max_free_family(cfg: SearchConfig) -> SearchResult:

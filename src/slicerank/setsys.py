@@ -1,11 +1,13 @@
 """Set families and their sunflower/capset predicates.
 
-Subsets of {1,...,n} are bit vectors in {0,1}^n; the mod-D setting works
-with coordinate tuples in (Z/DZ)^n.  A distinct triple is a sunflower in
-the binary setting iff no coordinate shows exactly two ones, and in the
-mod-D setting iff every coordinate is all-equal or all-distinct (i.e. no
-coordinate has exactly two equal entries).  Everything here is an immutable
-value; all operations are pure.
+A member is a plain tuple of n coordinates.  In the binary setting the
+coordinates are 0/1, a subset of {1,...,n} read as its indicator vector;
+in the mod-D setting they lie in range(D), a point of (Z/DZ)^n.  The
+`Family` holds the setting, n and D once for all its members.  A distinct
+triple is a sunflower in the binary setting iff no coordinate shows exactly
+two ones, and in the mod-D setting iff every coordinate is all-equal or
+all-distinct (i.e. no coordinate has exactly two equal entries).
+Everything here is an immutable value; all operations are pure.
 
 Every triple predicate is a per-coordinate constraint on the third member
 once the first two are fixed, so the family-level searches run over pairs:
@@ -30,74 +32,17 @@ class FamilyFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# vectors
-
-
-@dataclass(frozen=True)
-class SubsetVector:
-    """A subset of {1,...,n} as a packed bit vector (bit i-1 <-> element i)."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("ground-set size must be nonnegative")
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"bit vector out of range for n={self.n}")
-
-    @classmethod
-    def from_coords(cls, coords: Sequence[int]) -> "SubsetVector":
-        bits = 0
-        for i, c in enumerate(coords):
-            if c not in (0, 1):
-                raise ValueError("binary coordinates must be 0 or 1")
-            if c:
-                bits |= 1 << i
-        return cls(len(coords), bits)
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.n))
-
-    def to_line(self) -> str:
-        return "".join(str(c) for c in self.coords)
-
-
-@dataclass(frozen=True)
-class DVector:
-    """A point of (Z/DZ)^n."""
-
-    n: int
-    D: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.D < 2:
-            raise ValueError("alphabet size must be at least 2")
-        if len(self.coords) != self.n:
-            raise ValueError("coordinate count must equal n")
-        if any(not 0 <= c < self.D for c in self.coords):
-            raise ValueError(f"coordinates must lie in [0, {self.D})")
-
-    def to_line(self) -> str:
-        return ",".join(str(c) for c in self.coords)
-
-
-# ---------------------------------------------------------------------------
 # families
 
 
 @dataclass(frozen=True)
 class Family:
-    """A finite family of pairwise-distinct vectors, stored sorted.
+    """A finite family of pairwise-distinct coordinate tuples, stored sorted.
 
-    Duplicate members are rejected outright: every sunflower notion here
-    quantifies over distinct sets, so a multiset family is never meaningful.
+    Each member is a tuple of n entries in range(2) (binary) or range(D)
+    (mod-D).  Duplicate members are rejected outright: every sunflower
+    notion here quantifies over distinct sets, so a multiset family is never
+    meaningful.
     """
 
     setting: str
@@ -112,30 +57,17 @@ class Family:
             raise ValueError("binary families carry no alphabet size")
         if self.setting == MOD and (self.D is None or self.D < 2):
             raise ValueError("mod-D families need D >= 2")
-        by_coords = {}
+        digits = range(2 if self.setting == BINARY else self.D)
+        seen = set()
         for m in self.members:
-            if self.setting == BINARY:
-                if not isinstance(m, SubsetVector) or m.n != self.n:
-                    raise ValueError("members must be SubsetVectors of equal n")
-            else:
-                if not isinstance(m, DVector) or m.n != self.n or m.D != self.D:
-                    raise ValueError("members must be DVectors of equal n and D")
-            k = m.coords
-            if k in by_coords:
+            if type(m) is not tuple or len(m) != self.n:
+                raise ValueError(f"member {m!r} is not a tuple of n={self.n} coordinates")
+            if not all(map(digits.__contains__, m)):
+                raise ValueError(f"member {m} has a coordinate outside {digits}")
+            if m in seen:
                 raise ValueError(f"duplicate member {m}")
-            by_coords[k] = m
-        object.__setattr__(self, "members", tuple(by_coords[k] for k in sorted(by_coords)))
-
-    @classmethod
-    def of(cls, members: Sequence) -> "Family":
-        """Build a nonempty family, inferring the setting from the member
-        type."""
-        members = tuple(members)
-        if not members:
-            raise ValueError("an empty family has no member to infer its setting from")
-        if isinstance(members[0], SubsetVector):
-            return cls(BINARY, members[0].n, None, members)
-        return cls(MOD, members[0].n, members[0].D, members)
+            seen.add(m)
+        object.__setattr__(self, "members", tuple(sorted(seen)))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -143,14 +75,21 @@ class Family:
     def __iter__(self):
         return iter(self.members)
 
+    def line(self, member) -> str:
+        """A member as a line of the text format: 0101 resp. 0,1,2."""
+        return ("" if self.setting == BINARY else ",").join(map(str, member))
+
     def to_text(self) -> str:
-        return "".join(m.to_line() + "\n" for m in self.members)
+        if self.n == 0 and self.members:
+            raise ValueError("the zero-coordinate member has no line in the text format")
+        return "".join(self.line(m) + "\n" for m in self.members)
 
 
 def parse_family(text: str, D: int | None = None) -> Family:
     """Parse the family text format: one member per line, binary members as
     0/1 strings, mod-D members as comma-separated digits; '#' starts a
-    comment and blank lines are ignored.
+    comment and blank lines are ignored.  Every line must have as many
+    coordinates as the first, and no line may repeat another's member.
 
     The setting is inferred: an explicit D or a comma in some member means
     mod-D (single-coordinate mod-D files therefore need an explicit D),
@@ -166,34 +105,38 @@ def parse_family(text: str, D: int | None = None) -> Family:
     if not rows:
         return Family(MOD if D is not None else BINARY, 0, D, ())
 
-    members = []
-    if D is None and not any("," in line for _, line in rows):
-        for lineno, line in rows:
+    setting = MOD if D is not None or any("," in line for _, line in rows) else BINARY
+    parsed = []
+    for lineno, line in rows:
+        if setting == BINARY:
             if set(line) - {"0", "1"}:
                 raise FamilyFormatError(f"line {lineno}: expected a 0/1 string, got {line!r}")
-            members.append(SubsetVector.from_coords([int(c) for c in line]))
-    else:
-        coord_rows = []
-        for lineno, line in rows:
+            m = tuple(map(int, line))
+        else:
             try:
-                coords = tuple(int(p.strip()) for p in line.split(","))
+                m = tuple(map(int, line.split(",")))
             except ValueError:
                 raise FamilyFormatError(
                     f"line {lineno}: expected comma-separated digits, got {line!r}"
                 ) from None
-            if any(c < 0 for c in coords):
+            if min(m) < 0:
                 raise FamilyFormatError(f"line {lineno}: negative coordinate")
-            coord_rows.append((lineno, coords))
+        parsed.append((lineno, line, m))
+    if setting == MOD:
         if D is None:
-            D = max(3, 1 + max(max(c) for _, c in coord_rows))
-        for lineno, coords in coord_rows:
-            if any(c >= D for c in coords):
+            D = max(3, 1 + max(max(m) for _, _, m in parsed))
+        for lineno, _, m in parsed:
+            if max(m) >= D:
                 raise FamilyFormatError(f"line {lineno}: coordinate >= D={D}")
-            members.append(DVector(len(coords), D, coords))
-    try:
-        return Family.of(members)
-    except ValueError as exc:
-        raise FamilyFormatError(str(exc)) from None
+    n = len(parsed[0][2])
+    seen = set()
+    for lineno, line, m in parsed:
+        if len(m) != n:
+            raise FamilyFormatError(f"line {lineno}: expected {n} coordinates, got {len(m)}")
+        if m in seen:
+            raise FamilyFormatError(f"line {lineno}: duplicate member {line}")
+        seen.add(m)
+    return Family(setting, n, D, tuple(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -266,42 +209,40 @@ def completions(rule: str, masks: list[dict[int, int]], x, y, within: int) -> in
 # sunflower predicates
 
 
-def is_sunflower(sets: Sequence[SubsetVector]) -> bool:
-    """True iff the k >= 2 distinct subsets have all pairwise intersections
-    equal (the common core)."""
+def is_sunflower(sets: Sequence[tuple[int, ...]]) -> bool:
+    """True iff the k >= 2 distinct subsets, as 0/1 tuples, have all
+    pairwise intersections equal (the common core)."""
     if len(sets) < 2:
         raise ValueError("a sunflower needs at least two sets")
-    n = sets[0].n
-    if any(s.n != n for s in sets):
+    if len({len(s) for s in sets}) != 1:
         raise ValueError("mismatched ground-set sizes")
-    if len({s.bits for s in sets}) != len(sets):
+    if any(c not in (0, 1) for s in sets for c in s):
+        raise ValueError("subsets are 0/1 tuples")
+    if len(set(sets)) != len(sets):
         raise ValueError("sunflower members must be distinct")
-    core = sets[0].bits & sets[1].bits
-    return all(a.bits & b.bits == core for a, b in itertools.combinations(sets, 2))
+
+    def meet(a, b):
+        return tuple(p & q for p, q in zip(a, b))
+
+    core = meet(sets[0], sets[1])
+    return all(meet(a, b) == core for a, b in itertools.combinations(sets, 2))
 
 
-def triple_is_sunflower(x, y, z) -> bool:
-    """Coordinate test for a distinct triple.
+def triple_is_sunflower(setting: str, x, y, z) -> bool:
+    """Coordinate test for a distinct triple of coordinate tuples.
 
     Binary: sunflower iff no coordinate has exactly two ones.  Mod-D:
     sunflower iff every coordinate is all-equal or all-distinct.
     """
-    if isinstance(x, SubsetVector):
-        if x.n != y.n or x.n != z.n:
-            raise ValueError("mismatched dimensions")
-        if x == y or y == z or x == z:
-            raise ValueError("triple members must be pairwise distinct")
-        pairs = (x.bits & y.bits) | (y.bits & z.bits) | (x.bits & z.bits)
-        return pairs & ~(x.bits & y.bits & z.bits) == 0
-    if x.n != y.n or x.n != z.n or x.D != y.D or x.D != z.D:
+    if setting not in (BINARY, MOD):
+        raise ValueError(f"unknown setting {setting!r}")
+    if len(x) != len(y) or len(x) != len(z):
         raise ValueError("mismatched dimensions")
     if x == y or y == z or x == z:
         raise ValueError("triple members must be pairwise distinct")
-    for a, b, c in zip(x.coords, y.coords, z.coords):
-        equal = (a == b) + (b == c) + (a == c)
-        if equal == 1:
-            return False
-    return True
+    if setting == BINARY:
+        return all(a + b + c != 2 for a, b, c in zip(x, y, z))
+    return all((a == b) + (b == c) + (a == c) != 1 for a, b, c in zip(x, y, z))
 
 
 def find_sunflower(family: Family):
@@ -313,14 +254,13 @@ def find_sunflower(family: Family):
     least triple, the one a scan of `itertools.combinations` would return
     first.  That is O(|F|^2 n) mask operations instead of |F|^3 triples."""
     members = family.members
-    codes = [m.coords for m in members]
-    masks = value_masks(codes, family.n)
-    full = (1 << len(codes)) - 1
-    for a, x in enumerate(codes):
-        for b in range(a + 1, len(codes) - 1):
-            third = completions(family.setting, masks, x, codes[b], full & -(2 << b))
+    masks = value_masks(members, family.n)
+    full = (1 << len(members)) - 1
+    for a, x in enumerate(members):
+        for b in range(a + 1, len(members) - 1):
+            third = completions(family.setting, masks, x, members[b], full & -(2 << b))
             if third:
-                return members[a], members[b], members[(third & -third).bit_length() - 1]
+                return x, members[b], members[(third & -third).bit_length() - 1]
     return None
 
 
@@ -331,7 +271,7 @@ def layer_split(family: Family) -> dict[int, Family]:
         raise ValueError("layer_split applies to binary families")
     layers: dict[int, list] = {}
     for m in family.members:
-        layers.setdefault(m.weight, []).append(m)
+        layers.setdefault(sum(m), []).append(m)
     return {w: Family(BINARY, family.n, None, tuple(ms)) for w, ms in sorted(layers.items())}
 
 
@@ -360,12 +300,8 @@ def pair_encode(family: Family) -> Family:
         raise ValueError("pair_encode applies to binary families")
     if family.n % 2:
         raise ValueError("pair_encode needs an even number of coordinates")
-    half = family.n // 2
-    encoded = []
-    for m in family.members:
-        c = m.coords
-        encoded.append(DVector(half, 4, tuple(_PAIR_TO_SYMBOL[p] for p in zip(c[::2], c[1::2]))))
-    return Family(MOD, half, 4, tuple(encoded))
+    encoded = tuple(tuple(_PAIR_TO_SYMBOL[p] for p in zip(m[::2], m[1::2])) for m in family)
+    return Family(MOD, family.n // 2, 4, encoded)
 
 
 def layer_extract(encoded: Family, x) -> Family:
@@ -378,7 +314,6 @@ def layer_extract(encoded: Family, x) -> Family:
         raise ValueError("selector must be a 0/1 vector")
     picked = []
     for m in encoded.members:
-        if all((s == 3) == (c == 1) for s, c in zip(m.coords, xc)):
-            rest = tuple(s for s, c in zip(m.coords, xc) if c == 0)
-            picked.append(DVector(len(rest), 3, rest))
+        if all((s == 3) == (c == 1) for s, c in zip(m, xc)):
+            picked.append(tuple(s for s, c in zip(m, xc) if c == 0))
     return Family(MOD, encoded.n - sum(xc), 3, tuple(picked))

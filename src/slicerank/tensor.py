@@ -37,7 +37,6 @@ from .setsys import (
     BINARY,
     MOD,
     Family,
-    SubsetVector,
     completions,
     find_sunflower,
     layer_split,
@@ -81,14 +80,13 @@ def _product(setting: str, x, y, z) -> int:
     return value
 
 
-def tensor_value(x, y, z) -> int:
-    """Exact value of T at a triple of SubsetVectors or DVectors."""
-    setting, D = (BINARY, None) if isinstance(x, SubsetVector) else (MOD, x.D)
-    if any(v.n != x.n or getattr(v, "D", None) != D for v in (y, z)):
+def tensor_value(setting: str, x, y, z) -> int:
+    """Exact value of T at a triple of coordinate tuples of one length."""
+    if setting not in (BINARY, MOD):
+        raise ValueError(f"unknown setting {setting!r}")
+    if len(x) != len(y) or len(x) != len(z):
         raise ValueError("mismatched dimensions")
-    if setting == MOD and D < 3:
-        raise ValueError("the mod-D tensor needs D >= 3")
-    return _product(setting, x.coords, y.coords, z.coords)
+    return _product(setting, x, y, z)
 
 
 # ---------------------------------------------------------------------------
@@ -667,13 +665,12 @@ def check_diagonal(family: Family) -> DiagonalityReport:
     if family.setting == MOD and family.D < 3:
         raise ValueError("the mod-D tensor needs D >= 3")
     members = family.members
-    codes = [m.coords for m in members]
-    masks = value_masks(codes, family.n)
-    full = (1 << len(codes)) - 1
-    for i, x in enumerate(codes):
+    masks = value_masks(members, family.n)
+    full = (1 << len(members)) - 1
+    for i, x in enumerate(members):
         # a pair (i, j) with j < i repeats the empty mask of (j, i)
-        for j in range(i, len(codes)):
-            nonzero = completions(family.setting, masks, x, codes[j], full)
+        for j in range(i, len(members)):
+            nonzero = completions(family.setting, masks, x, members[j], full)
             if i == j:
                 nonzero ^= 1 << i
             if nonzero:
@@ -715,7 +712,7 @@ class BoundCertificate:
             "lemma": "diagonal-slice-rank",
         }
         if self.diagonal_witness is not None:
-            out["diagonal_witness"] = [m.to_line() for m in self.diagonal_witness]
+            out["diagonal_witness"] = [self.family.line(m) for m in self.diagonal_witness]
         return out
 
     def to_json(self) -> str:
@@ -749,7 +746,7 @@ def certify_family(family: Family) -> BoundCertificate:
     if sunflower is not None:
         raise NotSunflowerFree(
             "family contains a sunflower: "
-            + ", ".join(m.to_line() for m in sunflower),
+            + ", ".join(family.line(m) for m in sunflower),
             witness=sunflower,
         )
     if family.setting == BINARY:

@@ -10,23 +10,18 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from slicerank.setsys import BINARY, MOD, DVector, Family, SubsetVector, triple_is_sunflower
+from slicerank.setsys import BINARY, MOD, Family, triple_is_sunflower
 
 
-def _vector(setting, n, M, point):
-    if setting == BINARY:
-        return SubsetVector.from_coords(point)
-    return DVector(n, M, point)
-
-
-def _greedy(vectors, size, start=()):
-    """Insert `vectors` in order when they form no sunflower with a pair
+def _greedy(setting, points, size, start=()):
+    """Insert `points` in order when they form no sunflower with a pair
     already present, until `size` members."""
     members = list(start)
-    for v in vectors:
+    for v in points:
         if len(members) == size:
             break
-        if not any(triple_is_sunflower(a, b, v) for a, b in itertools.combinations(members, 2)):
+        if not any(triple_is_sunflower(setting, a, b, v)
+                   for a, b in itertools.combinations(members, 2)):
             members.append(v)
     return members
 
@@ -40,27 +35,25 @@ def families(draw, settings=(BINARY, MOD), Ds=(2, 3, 4, 5), max_points=256, max_
     points = list(itertools.product(range(M), repeat=n))
     rng = Random(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.integers(0, min(max_size, len(points))))
-    vectors = [_vector(setting, n, M, p) for p in points]
     shape = draw(st.sampled_from(["random", "free", "planted"]))
     if shape == "random":
-        members = rng.sample(vectors, size)
+        members = rng.sample(points, size)
     elif shape == "free":
-        rng.shuffle(vectors)
-        members = _greedy(vectors, size)
+        rng.shuffle(points)
+        members = _greedy(setting, points, size)
     else:
         upper = [p for p in points if n and p[0] == M - 1]
         planted = None
         for _ in range(200 if len(upper) >= 3 else 0):
             triple = sorted(rng.sample(upper, 3))
-            if triple_is_sunflower(*(_vector(setting, n, M, p) for p in triple)):
+            if triple_is_sunflower(setting, *triple):
                 planted = triple
                 break
         if planted is None:  # none found up there (n = 0, D = 2, or bad luck)
-            members = rng.sample(vectors, size)
+            members = rng.sample(points, size)
         else:
-            below = [_vector(setting, n, M, p) for p in points if p < planted[0]]
+            below = [p for p in points if p < planted[0]]
             rng.shuffle(below)
-            start = [_vector(setting, n, M, p) for p in planted]
-            members = _greedy(below, max(size, 3), start=start)
+            members = _greedy(setting, below, max(size, 3), start=planted)
     D = None if setting == BINARY else M
     return Family(setting, n, D, tuple(members))

@@ -36,7 +36,6 @@ from slicerank.setsys import (
     BINARY,
     MOD,
     Family,
-    SubsetVector,
     is_capset,
     layer_extract,
     pair_encode,
@@ -126,15 +125,15 @@ def test_criterion_04_chain_inequality():
 
 
 def _constant_weight_family(n: int, w: int, seed: int) -> Family:
-    pool = [SubsetVector(n, b) for b in range(1 << n) if b.bit_count() == w]
+    pool = [tuple(b >> i & 1 for i in range(n)) for b in range(1 << n) if b.bit_count() == w]
     random.Random(seed).shuffle(pool)
-    members: list[SubsetVector] = []
+    members: list[tuple[int, ...]] = []
     for v in pool:
         if not any(
-            triple_is_sunflower(a, b, v) for a, b in itertools.combinations(members, 2)
+            triple_is_sunflower(BINARY, a, b, v) for a, b in itertools.combinations(members, 2)
         ):
             members.append(v)
-    return Family.of(members)
+    return Family(BINARY, n, None, tuple(members))
 
 
 def test_criterion_05_certification_end_to_end():
@@ -165,9 +164,9 @@ def test_criterion_05_certification_end_to_end():
 
 
 def test_criterion_06_diagonality_obstruction():
-    a = SubsetVector.from_coords((1, 0))
-    b = SubsetVector.from_coords((1, 1))
-    report = check_diagonal(Family.of([a, b]))
+    a = (1, 0)
+    b = (1, 1)
+    report = check_diagonal(Family(BINARY, 2, None, (a, b)))
     assert not report.ok
     assert report.witness == (a, a, b)
     _pass(6, "diagonality obstruction", "witness ({1},{1},{1,2})")
@@ -210,15 +209,15 @@ def test_criterion_07_search_vs_bounds():
 def test_criterion_08_capset_layers():
     # the displayed encodings, bit-exact
     for bits, symbols in [((1, 0, 1, 1), (1, 3)), ((0, 1, 0, 0), (2, 0))]:
-        encoded = pair_encode(Family.of([SubsetVector.from_coords(bits)]))
-        assert [m.coords for m in encoded] == [symbols]
+        encoded = pair_encode(Family(BINARY, 4, None, (bits,)))
+        assert list(encoded) == [symbols]
 
     checked = 0
     for dim in (2, 4, 6, 8, 10):
         for seed in range(10):
             family = greedy_witness(SearchConfig(BINARY, dim), seed)
             enc = pair_encode(family)
-            supports = {tuple(1 if s == 3 else 0 for s in m.coords) for m in enc}
+            supports = {tuple(1 if s == 3 else 0 for s in m) for m in enc}
             for x in supports:
                 assert is_capset(layer_extract(enc, x))
             checked += 1

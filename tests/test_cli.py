@@ -66,6 +66,19 @@ def test_detect_malformed_file(family_file, capsys):
     assert code == 2 and "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("10\n01\n10\n", "line 3: duplicate member 10"),
+        ("0,1\n0,1,2\n", "line 2: expected 2 coordinates, got 3"),
+    ],
+)
+def test_malformed_member_names_its_line(family_file, capsys, text, message):
+    path = family_file("bad.txt", text)
+    for command in ("detect", "certify", "encode"):
+        assert run(capsys, command, path) == (2, "", f"error: malformed family file: {message}\n")
+
+
 def test_detect_missing_file(capsys):
     code, _, err = run(capsys, "detect", "/nonexistent/family.txt")
     assert code == 2 and "error" in err
@@ -157,7 +170,7 @@ def test_certify_past_the_term_cap(family_file, capsys, tmp_path, setting, n, D,
                          "--json", out_json)
     assert (code, err) == (0, "")
     cert = json.loads((tmp_path / "cert.json").read_text())
-    layers = len({m.bits.bit_count() for m in family}) if setting == BINARY else 1
+    layers = len({sum(m) for m in family}) if setting == BINARY else 1
     assert int(cert["slice_count"]) == key_count(setting, n, D) * layers
     assert f"conclusion: |A| <= {cert['slice_count']}" in out
 
@@ -460,6 +473,22 @@ def test_search_witness_round_trips_through_detect(capsys, tmp_path):
     assert code == 0
     code, out, _ = run(capsys, "detect", witness)
     assert code == 0 and "sunflower-free: true" in out
+
+
+@pytest.mark.parametrize("setting", ["binary", "mod-d", "capset"])
+def test_search_refuses_a_zero_coordinate_witness_file(capsys, tmp_path, setting):
+    # the one member () would be a blank line, which reads back as no member
+    d_args = ["--D", "3"] if setting == "mod-d" else []
+    witness, report = tmp_path / "w.txt", tmp_path / "s.json"
+    code, out, err = run(capsys, "search", "--setting", setting, "--n", "0", *d_args,
+                         "--json", str(report), "--witness-out", str(witness))
+    assert (code, out) == (2, "")
+    assert "zero-coordinate member" in err
+    assert not witness.exists() and not report.exists()
+    code, out, _ = run(capsys, "search", "--setting", setting, "--n", "0", *d_args,
+                       "--json", str(report))
+    assert code == 0 and out.startswith("max: 1\n")
+    assert json.loads(report.read_text())["witness"] == [""]
 
 
 # --- encode --------------------------------------------------------------------

@@ -34,11 +34,12 @@ from slicerank.tensor import ResourceLimitError
 
 
 def _free(family) -> bool:
-    return not any(triple_is_sunflower(*t) for t in itertools.combinations(family.members, 3))
+    return not any(triple_is_sunflower(family.setting, *t)
+                   for t in itertools.combinations(family.members, 3))
 
 
 def _progression_free(family) -> bool:
-    return not any(all((a + b + c) % 3 == 0 for a, b, c in zip(x.coords, y.coords, z.coords))
+    return not any(all((a + b + c) % 3 == 0 for a, b, c in zip(x, y, z))
                    for x, y, z in itertools.combinations(family.members, 3))
 
 
@@ -90,7 +91,7 @@ def test_capset_maxima(n, expected):
 
 def test_binary_witness_n2():
     result = max_free_family(SearchConfig(BINARY, 2))
-    assert [m.to_line() for m in result.witness] == ["00", "01", "11"]
+    assert [result.witness.line(m) for m in result.witness] == ["00", "01", "11"]
 
 
 def test_monotone_in_n():
@@ -183,7 +184,7 @@ def test_search_results_are_pinned(cfg, max_size, optimal, nodes, witness):
     # node counts are printed by the CLI, so they are part of the contract
     result = max_free_family(cfg)
     assert (result.max_size, result.optimal, result.nodes) == (max_size, optimal, nodes)
-    assert " ".join(m.to_line() for m in result.witness) == witness
+    assert " ".join(map(result.witness.line, result.witness)) == witness
 
 
 @pytest.mark.parametrize("n", range(4))

@@ -9,10 +9,8 @@ from slicerank import setsys
 from slicerank.setsys import (
     BINARY,
     MOD,
-    DVector,
     Family,
     FamilyFormatError,
-    SubsetVector,
     completions,
     find_sunflower,
     is_capset,
@@ -26,62 +24,63 @@ from slicerank.setsys import (
 )
 
 
-def sv(*coords):
-    return SubsetVector.from_coords(coords)
-
-
-def dv(D, *coords):
-    return DVector(len(coords), D, tuple(coords))
-
-
 def binary_family(*coord_rows):
-    return Family.of([sv(*row) for row in coord_rows])
+    return Family(BINARY, len(coord_rows[0]), None, coord_rows)
 
 
 def mod_family(D, *coord_rows):
-    return Family.of([dv(D, *row) for row in coord_rows])
+    return Family(MOD, len(coord_rows[0]), D, coord_rows)
 
 
-# --- vectors and families -----------------------------------------------------
+# --- families -------------------------------------------------------------------
 
 
-def test_subset_vector_basics():
-    v = SubsetVector(4, 0b101)
-    assert v.coords == (1, 0, 1, 0)
-    assert v.weight == 2
-    assert v.to_line() == "1010"
-
-
-def test_vector_validation():
-    with pytest.raises(ValueError):
-        SubsetVector(2, 4)
-    with pytest.raises(ValueError):
-        DVector(2, 3, (0, 3))
-    with pytest.raises(ValueError):
-        DVector(2, 1, (0, 0))
+@pytest.mark.parametrize(
+    "setting,n,D,members,message",
+    [
+        (MOD, 2, 3, ((0, 1), (1,)), "not a tuple of n=2 coordinates"),
+        (BINARY, 2, None, ([1, 0],), "not a tuple"),
+        (MOD, 1, 3, ("1",), "not a tuple"),
+        (BINARY, 2, None, ((0, 2),), "outside range"),
+        (MOD, 2, 3, ((0, 3),), "outside range"),
+        (MOD, 1, 4, ((-1,),), "outside range"),
+        (MOD, 1, 1, ((0,),), "D >= 2"),
+        (BINARY, 1, 2, ((0,),), "no alphabet size"),
+        ("capset", 1, 3, (), "unknown setting"),
+    ],
+)
+def test_family_validates_its_members(setting, n, D, members, message):
+    with pytest.raises(ValueError, match=message):
+        Family(setting, n, D, members)
 
 
 def test_family_rejects_duplicates_and_mixtures():
-    with pytest.raises(ValueError):
-        Family.of([sv(1, 0), sv(1, 0)])
-    v = sv(1, 0)
-    with pytest.raises(ValueError, match="duplicate"):
-        Family(BINARY, 2, None, (v, v))
-    with pytest.raises(ValueError):
-        Family(BINARY, 2, None, (sv(1, 0), sv(1, 0, 0)))
-    with pytest.raises(ValueError):
-        Family(MOD, 1, 3, (dv(3, 0), dv(4, 1)))
-
-
-def test_family_of_needs_a_member():
-    # the setting is inferred from the first member
-    with pytest.raises(ValueError):
-        Family.of([])
+    with pytest.raises(ValueError, match=r"duplicate member \(1, 0\)"):
+        Family(BINARY, 2, None, ((1, 0), (0, 1), (1, 0)))
+    with pytest.raises(ValueError, match=r"duplicate member \(2,\)"):
+        Family(MOD, 1, 3, ((2,), (0,), (2,)))
+    with pytest.raises(ValueError, match="not a tuple of n=2 coordinates"):
+        Family(BINARY, 2, None, ((1, 0), (1, 0, 0)))
 
 
 def test_family_members_sorted():
     f = binary_family((1, 1), (0, 1), (1, 0))
-    assert [m.coords for m in f] == [(0, 1), (1, 0), (1, 1)]
+    assert list(f) == [(0, 1), (1, 0), (1, 1)]
+    assert f == binary_family((0, 1), (1, 0), (1, 1))
+
+
+def test_family_lines():
+    assert binary_family((1, 0, 1, 0)).line((1, 0, 1, 0)) == "1010"
+    assert mod_family(3, (0, 1, 2)).line((0, 1, 2)) == "0,1,2"
+    assert mod_family(12, (0, 11)).to_text() == "0,11\n"
+
+
+def test_zero_coordinate_member_has_no_text():
+    # its line would be blank, and a blank line reads back as no member
+    assert Family(BINARY, 0, None, ()).to_text() == ""
+    for fam in (Family(BINARY, 0, None, ((),)), Family(MOD, 0, 3, ((),))):
+        with pytest.raises(ValueError, match="zero-coordinate"):
+            fam.to_text()
 
 
 # --- text format ----------------------------------------------------------------
@@ -90,7 +89,7 @@ def test_family_members_sorted():
 def test_parse_binary_family():
     f = parse_family("# a comment\n10\n01\n\n11  # trailing\n")
     assert f.setting == BINARY and f.n == 2
-    assert [m.to_line() for m in f] == ["01", "10", "11"]
+    assert [f.line(m) for m in f] == ["01", "10", "11"]
     assert f.to_text() == "01\n10\n11\n"
 
 
@@ -114,7 +113,7 @@ def test_parse_round_trip():
 @given(st.integers(1, 6), st.data())
 def test_text_round_trip_random_binary_families(n, data):
     bits = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8, unique=True))
-    fam = Family(BINARY, n, None, tuple(SubsetVector(n, b) for b in bits))
+    fam = Family(BINARY, n, None, tuple(tuple(b >> i & 1 for i in range(n)) for b in bits))
     assert parse_family(fam.to_text()).members == fam.members
 
 
@@ -123,7 +122,7 @@ def test_text_round_trip_random_mod_families(D, n, data):
     rows = data.draw(
         st.lists(st.tuples(*[st.integers(0, D - 1)] * n), max_size=8, unique=True)
     )
-    fam = Family(MOD, n, D, tuple(DVector(n, D, t) for t in rows))
+    fam = Family(MOD, n, D, tuple(rows))
     assert parse_family(fam.to_text(), D=D).members == fam.members
 
 
@@ -134,52 +133,81 @@ def test_parse_errors_carry_line_numbers():
         parse_family("2,1\n", D=2)
 
 
+@pytest.mark.parametrize(
+    "text,D,message",
+    [
+        ("10\n01\n10\n", None, "line 3: duplicate member 10"),
+        ("# pts\n1,0\n0,1\n1, 0  # again\n", None, "line 4: duplicate member 1, 0"),
+        ("10\n011\n", None, "line 2: expected 2 coordinates, got 3"),
+        ("0,1\n2\n", 3, "line 2: expected 2 coordinates, got 1"),
+        ("0,1,2\n\n1,1\n", None, "line 3: expected 3 coordinates, got 2"),
+    ],
+)
+def test_parse_errors_name_the_line_of_a_bad_member(text, D, message):
+    with pytest.raises(FamilyFormatError) as exc:
+        parse_family(text, D=D)
+    assert str(exc.value) == message
+
+
+def test_parse_rejects_an_alphabet_below_two():
+    for text in ("0,0\n", ""):
+        with pytest.raises(ValueError, match="mod-D families need D >= 2"):
+            parse_family(text, D=1)
+
+
 # --- sunflower predicates -------------------------------------------------------
 
 
 def test_is_sunflower_examples():
     # pairwise disjoint singletons: core is empty
-    assert is_sunflower([sv(1, 0, 0), sv(0, 1, 0), sv(0, 0, 1)])
+    assert is_sunflower([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     # common core {1} with disjoint petals
-    assert is_sunflower([sv(1, 1, 0, 0), sv(1, 0, 1, 0), sv(1, 0, 0, 1)])
+    assert is_sunflower([(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1)])
     # {1} cap {2} is empty but {1} cap {1,2} is {1}
-    assert not is_sunflower([sv(1, 0), sv(0, 1), sv(1, 1)])
+    assert not is_sunflower([(1, 0), (0, 1), (1, 1)])
 
 
 def test_two_sets_always_form_a_sunflower():
     # k=2: the single pairwise intersection is trivially the common core
-    assert is_sunflower([sv(1, 0), sv(1, 1)])
-    assert is_sunflower([sv(0, 0), sv(1, 1)])
+    assert is_sunflower([(1, 0), (1, 1)])
+    assert is_sunflower([(0, 0), (1, 1)])
 
 
 def test_is_sunflower_validation():
     with pytest.raises(ValueError):
-        is_sunflower([sv(1, 0)])
+        is_sunflower([(1, 0)])
     with pytest.raises(ValueError):
-        is_sunflower([sv(1, 0), sv(1, 0)])
+        is_sunflower([(1, 0), (1, 0)])
     with pytest.raises(ValueError):
-        is_sunflower([sv(1, 0), sv(1, 0, 0)])
+        is_sunflower([(1, 0), (1, 0, 0)])
+    with pytest.raises(ValueError, match="0/1"):
+        is_sunflower([(1, 0), (2, 0)])
 
 
 def test_triple_test_binary_examples():
-    assert triple_is_sunflower(sv(0, 0), sv(1, 0), sv(0, 1))
+    assert triple_is_sunflower(BINARY, (0, 0), (1, 0), (0, 1))
+    assert not triple_is_sunflower(BINARY, (0, 0), (1, 0), (1, 1))
     with pytest.raises(ValueError):
-        triple_is_sunflower(sv(1, 0), sv(1, 0), sv(0, 1))
+        triple_is_sunflower(BINARY, (1, 0), (1, 0), (0, 1))
+    with pytest.raises(ValueError):
+        triple_is_sunflower(BINARY, (1, 0), (1,), (0, 1))
+    with pytest.raises(ValueError):
+        triple_is_sunflower("capset", (0,), (1,), (2,))
 
 
 def test_triple_test_mod_examples():
-    assert triple_is_sunflower(dv(3, 0), dv(3, 1), dv(3, 2))
-    assert triple_is_sunflower(dv(3, 0, 0), dv(3, 0, 1), dv(3, 0, 2))
-    assert not triple_is_sunflower(dv(3, 0, 0), dv(3, 0, 1), dv(3, 1, 2))
+    assert triple_is_sunflower(MOD, (0,), (1,), (2,))
+    assert triple_is_sunflower(MOD, (0, 0), (0, 1), (0, 2))
+    assert not triple_is_sunflower(MOD, (0, 0), (0, 1), (1, 2))
 
 
 def test_triple_test_agrees_with_set_definition_exhaustively():
     # the pairwise-intersection and no-{0,1,1}-coordinate characterizations
     # agree on every distinct triple for n <= 6
     for n in range(1, 7):
-        vectors = [SubsetVector(n, b) for b in range(1 << n)]
+        vectors = list(itertools.product((0, 1), repeat=n))
         for x, y, z in itertools.combinations(vectors, 3):
-            assert triple_is_sunflower(x, y, z) == is_sunflower([x, y, z])
+            assert triple_is_sunflower(BINARY, x, y, z) == is_sunflower([x, y, z])
 
 
 @st.composite
@@ -196,7 +224,7 @@ def mod_triples(draw):
 @given(mod_triples(), st.randoms(use_true_random=False))
 def test_triple_test_invariance(triple, rng):
     D, n, x, y, z = triple
-    base = triple_is_sunflower(dv(D, *x), dv(D, *y), dv(D, *z))
+    base = triple_is_sunflower(MOD, x, y, z)
     coord_perm = list(range(n))
     rng.shuffle(coord_perm)
     value_perms = []
@@ -208,14 +236,14 @@ def test_triple_test_invariance(triple, rng):
     def apply(t):
         return tuple(value_perms[i][t[coord_perm[i]]] for i in range(n))
 
-    assert base == triple_is_sunflower(dv(D, *apply(x)), dv(D, *apply(y)), dv(D, *apply(z)))
+    assert base == triple_is_sunflower(MOD, apply(x), apply(y), apply(z))
 
 
 def test_find_sunflower_examples():
     full = binary_family((0, 0), (1, 0), (0, 1), (1, 1))
     witness = find_sunflower(full)
     assert witness is not None
-    assert [m.coords for m in witness] == [(0, 0), (0, 1), (1, 0)]
+    assert list(witness) == [(0, 0), (0, 1), (1, 0)]
     assert find_sunflower(binary_family((1, 0), (0, 1), (1, 1))) is None
     assert find_sunflower(mod_family(3, (0,), (1,), (2,))) is not None
 
@@ -235,11 +263,11 @@ def test_layer_safety_exhaustive():
     # are sunflowers, for all n <= 5 (so sunflower-free layers are diagonal)
     for n in range(1, 6):
         by_weight = {}
-        for b in range(1 << n):
-            by_weight.setdefault(SubsetVector(n, b).weight, []).append(SubsetVector(n, b))
+        for v in itertools.product((0, 1), repeat=n):
+            by_weight.setdefault(sum(v), []).append(v)
         for vectors in by_weight.values():
             for x, y, z in itertools.combinations(vectors, 3):
-                if triple_is_sunflower(x, y, z):
+                if triple_is_sunflower(BINARY, x, y, z):
                     assert is_sunflower([x, y, z])
 
 
@@ -259,10 +287,10 @@ def test_layer_split_examples():
 def test_layer_split_partitions():
     f = binary_family((1, 1, 0), (0, 1, 1), (1, 1, 1), (0, 0, 0))
     layers = layer_split(f)
-    got = sorted(m.coords for fam in layers.values() for m in fam)
-    assert got == sorted(m.coords for m in f)
+    got = sorted(m for fam in layers.values() for m in fam)
+    assert got == list(f)
     for w, fam in layers.items():
-        assert all(m.weight == w for m in fam)
+        assert all(sum(m) == w for m in fam)
 
 
 # --- capsets --------------------------------------------------------------------
@@ -280,15 +308,15 @@ def test_capset_equals_mod3_sunflower_free():
     # for D=3 a distinct triple is a sunflower iff it is a progression,
     # so the two freeness notions coincide; spot-check exhaustively at n=2
     # against both triple scans
-    pts = [dv(3, a, b) for a in range(3) for b in range(3)]
+    pts = list(itertools.product(range(3), repeat=2))
     for members in itertools.combinations(pts, 4):
-        fam = Family.of(members)
+        fam = Family(MOD, 2, 3, members)
         assert is_capset(fam) == (_scan_progression(fam) is None) == (_scan_sunflower(fam) is None)
 
 
 def test_least_mod3_sunflower_is_the_least_progression():
     fam = mod_family(3, (0, 0), (1, 1), (2, 2), (0, 1))
-    assert [m.coords for m in find_sunflower(fam)] == [(0, 0), (1, 1), (2, 2)]
+    assert find_sunflower(fam) == ((0, 0), (1, 1), (2, 2))
     assert find_sunflower(fam) == _scan_progression(fam)
 
 
@@ -298,14 +326,14 @@ def test_least_mod3_sunflower_is_the_least_progression():
 def test_pair_encode_displayed_values():
     enc = pair_encode(binary_family((1, 0, 1, 1)))
     assert (enc.setting, enc.n, enc.D) == (MOD, 2, 4)
-    assert [m.coords for m in enc] == [(1, 3)]
-    assert [m.coords for m in pair_encode(binary_family((0, 1, 0, 0)))] == [(2, 0)]
+    assert list(enc) == [(1, 3)]
+    assert list(pair_encode(binary_family((0, 1, 0, 0)))) == [(2, 0)]
 
 
 def test_pair_encode_is_one_symbol_per_coordinate_pair():
     # all 16 members of {0,1}^4 go to the 16 distinct pairs of symbols
-    f = Family.of([sv(*coords) for coords in itertools.product((0, 1), repeat=4)])
-    assert [m.coords for m in pair_encode(f)] == list(itertools.product(range(4), repeat=2))
+    f = binary_family(*itertools.product((0, 1), repeat=4))
+    assert list(pair_encode(f)) == list(itertools.product(range(4), repeat=2))
 
 
 def test_pair_encode_rejects_odd_dimension():
@@ -317,7 +345,7 @@ def test_layer_extract_example():
     enc = mod_family(4, (1, 3), (2, 3))
     fam = layer_extract(enc, (0, 1))
     assert fam.setting == MOD and fam.D == 3 and fam.n == 1
-    assert [m.coords for m in fam] == [(1,), (2,)]
+    assert list(fam) == [(1,), (2,)]
 
 
 def test_layer_extract_dimension_check():
@@ -336,11 +364,11 @@ def test_layer_extract_full_support():
 def greedy_free_binary_families(draw):
     n = draw(st.integers(2, 10).filter(lambda k: k % 2 == 0))
     pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=24, unique=True))
-    members: list[SubsetVector] = []
+    members: list[tuple[int, ...]] = []
     for bits in pool:
-        v = SubsetVector(n, bits)
+        v = tuple(bits >> i & 1 for i in range(n))
         if any(
-            triple_is_sunflower(a, b, v) for a, b in itertools.combinations(members, 2)
+            triple_is_sunflower(BINARY, a, b, v) for a, b in itertools.combinations(members, 2)
         ):
             continue
         members.append(v)
@@ -351,7 +379,7 @@ def greedy_free_binary_families(draw):
 @given(greedy_free_binary_families())
 def test_extracted_layers_of_free_families_are_capsets(fam):
     enc = pair_encode(fam)
-    supports = {tuple(1 if s == 3 else 0 for s in m.coords) for m in enc}
+    supports = {tuple(1 if s == 3 else 0 for s in m) for m in enc}
     for x in supports:
         assert is_capset(layer_extract(enc, x))
 
@@ -362,7 +390,7 @@ def test_extracted_layers_of_free_families_are_capsets(fam):
 def _scan_sunflower(family):
     """find_sunflower before the pair masks: every triple, combinations order."""
     for triple in itertools.combinations(family.members, 3):
-        if triple_is_sunflower(*triple):
+        if triple_is_sunflower(family.setting, *triple):
             return triple
     return None
 
@@ -371,7 +399,7 @@ def _scan_progression(family):
     """The least distinct triple with x + y + z = 0 mod 3: every triple,
     combinations order."""
     for x, y, z in itertools.combinations(family.members, 3):
-        if all((a + b + c) % 3 == 0 for a, b, c in zip(x.coords, y.coords, z.coords)):
+        if all((a + b + c) % 3 == 0 for a, b, c in zip(x, y, z)):
             return (x, y, z)
     return None
 
@@ -393,8 +421,8 @@ def test_mod3_sunflower_matches_progression_scan(fam):
     [
         Family(BINARY, 3, None, ()),
         Family(MOD, 2, 4, ()),
-        Family(BINARY, 0, None, (SubsetVector(0, 0),)),
-        Family(MOD, 0, 3, (DVector(0, 3, ()),)),
+        Family(BINARY, 0, None, ((),)),
+        Family(MOD, 0, 3, ((),)),
         binary_family((1, 0), (0, 1)),
         mod_family(3, (0, 1), (2, 2)),
         mod_family(2, (0, 0), (0, 1), (1, 0), (1, 1)),  # D = 2: no sunflower exists
@@ -411,15 +439,15 @@ def test_find_sunflower_edge_families(fam):
 
 def test_planted_lex_largest_witness():
     fam = mod_family(3, (0, 0), (0, 1), (2, 0), (2, 1), (2, 2))
-    assert [m.coords for m in find_sunflower(fam)] == [(2, 0), (2, 1), (2, 2)]
-    assert [m.coords for m in _scan_progression(fam)] == [(2, 0), (2, 1), (2, 2)]
+    assert find_sunflower(fam) == ((2, 0), (2, 1), (2, 2))
+    assert _scan_progression(fam) == ((2, 0), (2, 1), (2, 2))
 
 
 @settings(max_examples=100, deadline=None)
 @given(families())
 def test_completions_match_the_triple_predicates(fam):
     # every pair's mask, against the spec predicate on each distinct third
-    codes = [m.coords for m in fam]
+    codes = fam.members
     masks = value_masks(codes, fam.n)
     full = (1 << len(codes)) - 1
     for i, j in itertools.permutations(range(len(codes)), 2):
@@ -427,7 +455,7 @@ def test_completions_match_the_triple_predicates(fam):
         want = 0
         for k in range(len(codes)):
             if k not in (i, j):
-                want |= triple_is_sunflower(fam.members[i], fam.members[j], fam.members[k]) << k
+                want |= triple_is_sunflower(fam.setting, codes[i], codes[j], codes[k]) << k
         assert got == want, (i, j)
 
 

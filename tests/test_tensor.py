@@ -14,9 +14,7 @@ from family_strategies import families
 from slicerank.setsys import (
     BINARY,
     MOD,
-    DVector,
     Family,
-    SubsetVector,
     completions,
     layer_split,
     value_masks,
@@ -41,12 +39,12 @@ from slicerank.tensor import (
 )
 
 
-def sv(*coords):
-    return SubsetVector.from_coords(coords)
+def binary_family(*coord_rows):
+    return Family(BINARY, len(coord_rows[0]), None, coord_rows)
 
 
-def dv(D, *coords):
-    return DVector(len(coords), D, tuple(coords))
+def mod_family(D, *coord_rows):
+    return Family(MOD, len(coord_rows[0]), D, coord_rows)
 
 
 def count_slices(ts):
@@ -125,10 +123,10 @@ def _unpack_digits(f, n, D):
 
 
 def test_binary_values_single_coordinate():
-    assert tensor_value(sv(0), sv(0), sv(0)) == 2
-    assert tensor_value(sv(1), sv(1), sv(0)) == 0
-    assert tensor_value(sv(1), sv(1), sv(1)) == -1
-    assert tensor_value(sv(1), sv(0), sv(0)) == 1
+    assert tensor_value(BINARY, (0,), (0,), (0,)) == 2
+    assert tensor_value(BINARY, (1,), (1,), (0,)) == 0
+    assert tensor_value(BINARY, (1,), (1,), (1,)) == -1
+    assert tensor_value(BINARY, (1,), (0,), (0,)) == 1
 
 
 def test_binary_value_is_coordinate_product():
@@ -139,15 +137,15 @@ def test_binary_value_is_coordinate_product():
             direct = 1
             for a, b, c in zip(xt, yt, zt):
                 direct *= 2 - (a + b + c)
-            assert tensor_value(sv(*xt), sv(*yt), sv(*zt)) == direct
+            assert tensor_value(BINARY, xt, yt, zt) == direct
 
 
 def test_mod_values_cases():
     # distinct -> -1, exactly two equal -> 0, all equal -> 2 (D=5, n=1)
-    assert tensor_value(dv(5, 0), dv(5, 1), dv(5, 2)) == -1
-    assert tensor_value(dv(5, 1), dv(5, 1), dv(5, 2)) == 0
-    assert tensor_value(dv(5, 4), dv(5, 4), dv(5, 4)) == 2
-    assert tensor_value(dv(3, 0, 0), dv(3, 0, 1), dv(3, 0, 2)) == -2
+    assert tensor_value(MOD, (0,), (1,), (2,)) == -1
+    assert tensor_value(MOD, (1,), (1,), (2,)) == 0
+    assert tensor_value(MOD, (4,), (4,), (4,)) == 2
+    assert tensor_value(MOD, (0, 0), (0, 1), (0, 2)) == -2
 
 
 def test_mod_off_diagonal_zero_per_coordinate():
@@ -155,7 +153,7 @@ def test_mod_off_diagonal_zero_per_coordinate():
     for D in (3, 4, 5):
         for a, b, c in itertools.product(range(D), repeat=3):
             equal = (a == b) + (b == c) + (a == c)
-            v = tensor_value(dv(D, a), dv(D, b), dv(D, c))
+            v = tensor_value(MOD, (a,), (b,), (c,))
             if equal == 1:
                 assert v == 0
             elif equal == 3:
@@ -172,18 +170,16 @@ def test_mod_value_is_coordinate_product():
         for a, b, c in zip(xt, yt, zt):
             equal = (a == b) + (b == c) + (a == c)
             direct *= equal - 1
-        assert tensor_value(dv(3, *xt), dv(3, *yt), dv(3, *zt)) == direct
+        assert tensor_value(MOD, xt, yt, zt) == direct
 
 
 def test_tensor_value_validation():
-    with pytest.raises(ValueError):
-        tensor_value(sv(1), sv(1, 0), sv(0))
-    with pytest.raises(ValueError):
-        tensor_value(dv(2, 0), dv(2, 1), dv(2, 0))
     with pytest.raises(ValueError, match="mismatched"):
-        tensor_value(sv(1), dv(3, 1), sv(0))
+        tensor_value(BINARY, (1,), (1, 0), (0,))
     with pytest.raises(ValueError, match="mismatched"):
-        tensor_value(dv(3, 1), dv(3, 0), sv(0))
+        tensor_value(MOD, (1, 2), (0, 1), (0,))
+    with pytest.raises(ValueError, match="unknown setting"):
+        tensor_value("capset", (0,), (1,), (2,))
 
 
 # --- expansion ----------------------------------------------------------------
@@ -1105,9 +1101,9 @@ def test_public_evaluations_agree_at_random_points(instance):
     ts = expand_tensor(setting, n, D)
     dec = decompose(ts)
     if setting == BINARY:
-        want = tensor_value(sv(*xt), sv(*yt), sv(*zt))
+        want = tensor_value(BINARY, xt, yt, zt)
     else:
-        want = tensor_value(dv(D, *xt), dv(D, *yt), dv(D, *zt))
+        want = tensor_value(MOD, xt, yt, zt)
     assert _ref_value_at(ts, xt, yt, zt) == want
     assert _ref_value_at(dec, xt, yt, zt) == want
 
@@ -1148,23 +1144,23 @@ def test_slice_counts_within_closed_form_bounds():
 
 
 def test_binary_layer_is_diagonal():
-    fam = Family.of([sv(1, 0), sv(0, 1)])
+    fam = binary_family((1, 0), (0, 1))
     report = check_diagonal(fam)
     assert report.ok
 
 
 def test_mod_layer_is_diagonal():
-    fam = Family.of([dv(3, 0, 1), dv(3, 2, 2)])
+    fam = mod_family(3, (0, 1), (2, 2))
     report = check_diagonal(fam)
     assert report.ok and report.witness is None
     # T(m, m, m) = 2^n, nonzero on the diagonal
-    assert [tensor_value(m, m, m) for m in fam] == [4, 4]
+    assert [tensor_value(MOD, m, m, m) for m in fam] == [4, 4]
 
 
 def test_non_antichain_rejected_with_witness():
-    a = sv(1, 0)
-    b = sv(1, 1)
-    report = check_diagonal(Family.of([a, b]))
+    a = (1, 0)
+    b = (1, 1)
+    report = check_diagonal(binary_family(a, b))
     assert not report.ok
     assert report.witness == (a, a, b)
 
@@ -1178,16 +1174,16 @@ def test_diagonality_of_random_free_layers():
     rng = random.Random(5)
     for n in (4, 6, 8):
         for w in (1, n // 2):
-            pool = [SubsetVector(n, b) for b in range(1 << n) if SubsetVector(n, b).weight == w]
+            pool = [v for v in itertools.product((0, 1), repeat=n) if sum(v) == w]
             rng.shuffle(pool)
             members = []
             for v in pool:
                 if not any(
-                    triple_is_sunflower(a, b, v)
+                    triple_is_sunflower(BINARY, a, b, v)
                     for a, b in itertools.combinations(members, 2)
                 ):
                     members.append(v)
-            fam = Family.of(members)
+            fam = binary_family(*members)
             assert check_diagonal(fam).ok
 
 
@@ -1197,7 +1193,7 @@ def _cubic_check_diagonal(family):
     for i, x in enumerate(members):
         for j, y in enumerate(members):
             for k, z in enumerate(members):
-                if (tensor_value(x, y, z) != 0) != (i == j == k):
+                if (tensor_value(family.setting, x, y, z) != 0) != (i == j == k):
                     return DiagonalityReport(False, (x, y, z))
     return DiagonalityReport(True, None)
 
@@ -1216,14 +1212,14 @@ def test_check_diagonal_matches_cubic_loop(fam):
     [
         Family(BINARY, 2, None, ()),
         Family(MOD, 2, 3, ()),
-        Family(BINARY, 0, None, (SubsetVector(0, 0),)),
-        Family(MOD, 0, 4, (DVector(0, 4, ()),)),
+        Family(BINARY, 0, None, ((),)),
+        Family(MOD, 0, 4, ((),)),
         # proper containments: T(x, x, y) != 0 for x inside y
-        Family.of([sv(0, 0, 1), sv(0, 1, 1), sv(1, 1, 1)]),
-        Family.of([sv(1, 0, 0), sv(0, 1, 0), sv(1, 1, 0)]),
-        Family.of([sv(0, 0), sv(1, 1)]),
-        Family.of([dv(3, 0, 1), dv(3, 1, 2), dv(3, 2, 0)]),
-        Family.of([dv(4, 0, 0), dv(4, 1, 1), dv(4, 0, 1)]),
+        binary_family((0, 0, 1), (0, 1, 1), (1, 1, 1)),
+        binary_family((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+        binary_family((0, 0), (1, 1)),
+        mod_family(3, (0, 1), (1, 2), (2, 0)),
+        mod_family(4, (0, 0), (1, 1), (0, 1)),
     ],
 )
 def test_check_diagonal_edge_families(fam):
@@ -1235,12 +1231,13 @@ def test_check_diagonal_edge_families(fam):
 def test_completions_are_the_support_of_t(fam):
     # the identity check_diagonal rests on, on repeated members too
     members = fam.members
-    codes = [m.coords for m in members]
+    codes = members
     masks = value_masks(codes, fam.n)
     full = (1 << len(codes)) - 1
     for i, x in enumerate(members):
         for j, y in enumerate(members):
-            want = sum(1 << k for k, z in enumerate(members) if tensor_value(x, y, z) != 0)
+            want = sum(1 << k for k, z in enumerate(members)
+                       if tensor_value(fam.setting, x, y, z) != 0)
             assert completions(fam.setting, masks, codes[i], codes[j], full) == want
 
 
@@ -1248,7 +1245,7 @@ def test_completions_are_the_support_of_t(fam):
 
 
 def test_certify_mod_example():
-    cert = certify_family(Family.of([dv(3, 0), dv(3, 1)]))
+    cert = certify_family(mod_family(3, (0,), (1,)))
     assert cert.diagonal_ok
     assert cert.slice_count <= 3
     assert 2 <= cert.slice_count <= cert.closed_form_bound
@@ -1256,16 +1253,14 @@ def test_certify_mod_example():
 
 
 def test_certify_rejects_sunflower():
-    fam = Family.of([sv(1, 0, 0), sv(0, 1, 0), sv(0, 0, 1)])
+    fam = binary_family((1, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(NotSunflowerFree) as exc:
         certify_family(fam)
     assert exc.value.witness is not None
 
 
 def test_certify_binary_two_layers():
-    fam = Family.of(
-        [sv(1, 0), sv(0, 1)]
-    )
+    fam = binary_family((1, 0), (0, 1))
     cert = certify_family(fam)
     assert cert.diagonal_ok
     assert cert.slice_count <= constant_weight_bound(2) == 3
@@ -1280,7 +1275,7 @@ def test_certify_empty_family():
 def test_certify_rejects_slice_count_below_family_size(monkeypatch):
     monkeypatch.setattr(tensor, "_structural_slice_count", lambda setting, n, D: 0)
     with pytest.raises(CertificationError):
-        certify_family(Family.of([sv(1, 0)]))
+        certify_family(binary_family((1, 0)))
 
 
 def test_failed_slice_verification_is_a_certification_error(monkeypatch):
@@ -1346,6 +1341,10 @@ def test_choice_table_is_the_one_coordinate_expansion():
         assert all(sum(c != 0 for c in row[1:]) <= most for row in table)
 
 
+# {1, 2}, {1, 3}, {2, 3} and {1, 2, 3, 4} in {1, ..., 6}: two weight layers
+_BITS_6 = ((1, 1, 0, 0, 0, 0), (1, 0, 1, 0, 0, 0), (0, 1, 1, 0, 0, 0), (1, 1, 1, 1, 0, 0))
+
+
 def test_certify_checks_the_slice_count_without_sampling(monkeypatch):
     # the slice count rests on the one-coordinate lemma, which needs no
     # sampled point
@@ -1354,8 +1353,7 @@ def test_certify_checks_the_slice_count_without_sampling(monkeypatch):
 
     monkeypatch.setattr(tensor, "_sampled_tuples", no_sampling)
     tensor._structural_slice_count.cache_clear()
-    members = [SubsetVector(6, bits) for bits in (0b11, 0b101, 0b110, 0b1111)]
-    cert = certify_family(Family.of(members))
+    cert = certify_family(Family(BINARY, 6, None, _BITS_6))
     assert cert.diagonal_ok
     assert cert.slice_count == 2 * decomposition_size(BINARY, 6)
 
@@ -1368,17 +1366,16 @@ def test_certify_builds_no_expansion(monkeypatch):
     tensor._one_coordinate.cache_clear()
     monkeypatch.setattr(tensor, "expand_tensor", built)
     monkeypatch.setattr(tensor, "decompose", built)
-    members = [SubsetVector(6, bits) for bits in (0b11, 0b101, 0b110, 0b1111)]
-    assert certify_family(Family.of(members)).slice_count == 2 * key_count(BINARY, 6)
-    cert = certify_family(Family.of([dv(3, 0, 1, 2), dv(3, 1, 1, 0)]))
+    assert certify_family(Family(BINARY, 6, None, _BITS_6)).slice_count == 2 * key_count(BINARY, 6)
+    cert = certify_family(mod_family(3, (0, 1, 2), (1, 1, 0)))
     assert cert.slice_count == key_count(MOD, 3, 3)
     # a certificate at an n whose expansion is far over the term cap
-    cert = certify_family(Family.of([dv(5, *[1] * 30), dv(5, *[2] * 30)]))
+    cert = certify_family(mod_family(5, (1,) * 30, (2,) * 30))
     assert cert.slice_count == key_count(MOD, 30, 5)
 
 
 def test_certificate_json_fields():
-    cert = certify_family(Family.of([dv(3, 0, 1), dv(3, 1, 2)]))
+    cert = certify_family(mod_family(3, (0, 1), (1, 2)))
     text = cert.to_json()
     assert json.loads(text) == {
         "setting": MOD,
@@ -1395,9 +1392,9 @@ def test_certificate_json_fields():
 
 
 def test_failure_certificate_json_fields():
-    a = sv(1, 0)
-    b = sv(1, 1)
-    cert = BoundCertificate(Family.of([a, b]), False, (a, a, b), 6, 9, "not-certified")
+    a = (1, 0)
+    b = (1, 1)
+    cert = BoundCertificate(binary_family(a, b), False, (a, a, b), 6, 9, "not-certified")
     data = json.loads(cert.to_json())
     assert (data["setting"], data["n"], data["D"]) == (BINARY, 2, None)
     assert data["diagonal_ok"] is False
@@ -1417,14 +1414,13 @@ def free_mod_families(draw):
             st.tuples(*[st.integers(0, D - 1)] * n), min_size=1, max_size=12, unique=True
         )
     )
-    members: list[DVector] = []
-    for t in pool:
-        v = DVector(n, D, t)
+    members: list[tuple[int, ...]] = []
+    for v in pool:
         if not any(
-            triple_is_sunflower(a, b, v) for a, b in itertools.combinations(members, 2)
+            triple_is_sunflower(MOD, a, b, v) for a, b in itertools.combinations(members, 2)
         ):
             members.append(v)
-    return Family.of(members)
+    return mod_family(D, *members)
 
 
 @settings(max_examples=25, deadline=None)
