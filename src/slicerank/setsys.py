@@ -13,7 +13,11 @@ Every triple predicate is a per-coordinate constraint on the third member
 once the first two are fixed, so the family-level searches run over pairs:
 `value_masks` indexes the members by digit, and `completions` turns a pair
 into the bitmask of the members that complete a forbidden triple with it.
-`slicerank.tensor` and `slicerank.search` use the same two functions.
+`completions` is the only place the rule is stated.  The search calls it per
+pair; the whole-family scans (`find_sunflower` here, `check_diagonal` in
+`slicerank.tensor`) call it once per coordinate and digit pair, to build
+pair tables whose AND holds, for one member a, every completing pair (b, c)
+at once, so a member costs n big-int ANDs a window rather than |F| calls.
 """
 
 from __future__ import annotations
@@ -248,20 +252,97 @@ def triple_is_sunflower(setting: str, x, y, z) -> bool:
 def find_sunflower(family: Family):
     """Lexicographically least sunflower triple in the family, or None.
 
-    Members are stored sorted, so index order is lex order.  For each pair
-    a < b in that order, `completions` gives the c > b that make (a, b, c)
-    a sunflower in one mask; the lowest bit of the first nonzero mask is the
-    least triple, the one a scan of `itertools.combinations` would return
-    first.  That is O(|F|^2 n) mask operations instead of |F|^3 triples."""
+    Members are stored sorted, so index order is lex order, and the least
+    triple is the one a scan of `itertools.combinations` would return
+    first.  `_least_triple` finds it as the least (a, b, c) with a < b < c
+    and c among the `completions` of (a, b): O(|F|^2 n) mask operations,
+    nearly all inside big-int ANDs, instead of |F|^3 triples."""
+    triple = _least_triple(family, distinct=True)
+    return None if triple is None else tuple(family.members[i] for i in triple)
+
+
+# bits of a pair table in _least_triple: a window holds at most this many
+# (row, column) bits, 8 KB a table, however many members the family has
+_PAIR_BITS = 1 << 16
+
+
+def _pair_tables(rule: str, members, masks: list[dict[int, int]], lo: int, hi: int) -> list[dict]:
+    """tables[i][v] has bit (b - lo)*N + c set, for the rows b in [lo, hi)
+    and every member c, when c completes (v, members[b][i]) at coordinate
+    i.  It is the OR over the digits p of spread(p) * completions(...,
+    (v,), (p,), ...), where spread(p) has bit (b - lo)*N for each row b with
+    digit p there: a column mask is below 2^N, so the product puts it in
+    exactly those rows."""
+    N = len(members)
+    full = (1 << N) - 1
+    spreads: list[dict[int, int]] = [{} for _ in masks]
+    for b in range(lo, hi):
+        bit = 1 << (b - lo) * N
+        for spread, p in zip(spreads, members[b]):
+            spread[p] = spread.get(p, 0) | bit
+    tables = []
+    for col, spread in zip(masks, spreads):
+        table = {}
+        for v in col:
+            t = 0
+            for p, s in spread.items():
+                t |= s * completions(rule, [col], (v,), (p,), full)
+            table[v] = t
+        tables.append(table)
+    return tables
+
+
+def _least_triple(family: Family, distinct: bool):
+    """The lexicographically least index triple (a, b, c) with c in
+    completions(x_a, x_b), or None: with a < b < c if `distinct`, else with
+    a <= b and (a, b, c) != (a, a, a).
+
+    The rows b go in windows of max(1, _PAIR_BITS // N).  In a window the
+    AND of member a's `_pair_tables` holds completions(x_a, x_b) in row b,
+    and its lowest bit past the pairs a may not take is a's least (b, c)
+    there.
+    Windows go in order, and a later window scans only the members below
+    the best a so far, so a member's first hit is its least pair.
+
+    A window costs n D^2 table products and one AND per member and
+    coordinate, each over its rows' N-bit masks at once: O(|F|^2 n) mask
+    operations in all, O(|F| n) Python steps a window."""
     members = family.members
+    N = len(members)
     masks = value_masks(members, family.n)
-    full = (1 << len(members)) - 1
-    for a, x in enumerate(members):
-        for b in range(a + 1, len(members) - 1):
-            third = completions(family.setting, masks, x, members[b], full & -(2 << b))
-            if third:
-                return x, members[b], members[(third & -third).bit_length() - 1]
-    return None
+    rows = max(1, _PAIR_BITS // max(N, 1))
+    # the members a still scanned are those below `top`: a < b < c needs
+    # a < N - 2, and once a triple is found only a lower a can beat it
+    top = N - 2 if distinct else N
+    best = None
+    for lo in range(0, N, rows):
+        hi = min(N, lo + rows)
+        stop = min(hi - distinct, top)
+        if stop <= 0:
+            continue
+        tables = _pair_tables(family.setting, members, masks, lo, hi)
+        if distinct:
+            # row b keeps the columns c > b
+            allowed = int("".join(["1" * (N - b - 1) + "0" * (b + 1)
+                                   for b in reversed(range(lo, hi))]), 2)
+        else:
+            # every bit of the window: with n = 0 no table caps the AND
+            allowed = (1 << (hi - lo) * N) - 1
+        for a in range(stop):
+            m = allowed
+            if a >= lo - distinct:
+                # only the rows b > a (b >= a if not distinct), and no (a, a, a)
+                m &= -(1 << (a + distinct - lo) * N)
+                if not distinct:
+                    m ^= 1 << (a - lo) * N + a
+            for table, v in zip(tables, members[a]):
+                m &= table[v]
+            if m:
+                k = (m & -m).bit_length() - 1
+                best = (a, lo + k // N, k % N)
+                top = a
+                break
+    return best
 
 
 def layer_split(family: Family) -> dict[int, Family]:

@@ -22,6 +22,7 @@ from slicerank.setsys import (
     triple_is_sunflower,
     value_masks,
 )
+from slicerank.tensor import check_diagonal
 
 
 def binary_family(*coord_rows):
@@ -416,25 +417,80 @@ def test_mod3_sunflower_matches_progression_scan(fam):
     assert find_sunflower(fam) == _scan_progression(fam)
 
 
-@pytest.mark.parametrize(
-    "fam",
-    [
-        Family(BINARY, 3, None, ()),
-        Family(MOD, 2, 4, ()),
-        Family(BINARY, 0, None, ((),)),
-        Family(MOD, 0, 3, ((),)),
-        binary_family((1, 0), (0, 1)),
-        mod_family(3, (0, 1), (2, 2)),
-        mod_family(2, (0, 0), (0, 1), (1, 0), (1, 1)),  # D = 2: no sunflower exists
-        binary_family((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 1)),
-        # the only sunflower is the lex-largest triple
-        mod_family(3, (0, 0), (0, 1), (2, 0), (2, 1), (2, 2)),
-    ],
-)
+SUNFLOWER_EDGE_FAMILIES = [
+    Family(BINARY, 3, None, ()),
+    Family(MOD, 2, 4, ()),
+    Family(BINARY, 0, None, ((),)),
+    Family(MOD, 0, 3, ((),)),
+    binary_family((1, 0), (0, 1)),
+    mod_family(3, (0, 1), (2, 2)),
+    mod_family(2, (0, 0), (0, 1), (1, 0), (1, 1)),  # D = 2: no sunflower exists
+    binary_family((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 1, 1)),
+    # the only sunflower is the lex-largest triple
+    mod_family(3, (0, 0), (0, 1), (2, 0), (2, 1), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("fam", SUNFLOWER_EDGE_FAMILIES)
 def test_find_sunflower_edge_families(fam):
     assert find_sunflower(fam) == _scan_sunflower(fam)
     if fam.setting == MOD and fam.D == 3:
         assert find_sunflower(fam) == _scan_progression(fam)
+
+
+# one row per window: every family of two or more members spans several
+# windows, and a later window may hold the least triple of a lower member
+@pytest.mark.parametrize(
+    "check", [test_find_sunflower_matches_triple_scan, test_mod3_sunflower_matches_progression_scan])
+def test_sunflower_scans_match_in_one_row_windows(check):
+    with mock.patch.object(setsys, "_PAIR_BITS", 1):
+        check()
+
+
+@pytest.mark.parametrize("fam", SUNFLOWER_EDGE_FAMILIES)
+def test_find_sunflower_edge_families_in_one_row_windows(fam):
+    with mock.patch.object(setsys, "_PAIR_BITS", 1):
+        test_find_sunflower_edge_families(fam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(families(), st.integers(1, 16))
+def test_pair_tables_hold_the_completions_of_each_pair(fam, rows):
+    # the AND of member a's tables holds completions(x_a, x_b) in row b,
+    # in windows of `rows` rows
+    codes = fam.members
+    N = len(codes)
+    masks = value_masks(codes, fam.n)
+    full = (1 << N) - 1
+    for lo in range(0, N, rows):
+        hi = min(N, lo + rows)
+        tables = setsys._pair_tables(fam.setting, codes, masks, lo, hi)
+        for a, x in enumerate(codes):
+            got = (1 << (hi - lo) * N) - 1
+            for table, v in zip(tables, x):
+                got &= table[v]
+            for b in range(lo, hi):
+                want = completions(fam.setting, masks, x, codes[b], full)
+                assert got >> (b - lo) * N & full == want, (a, b)
+
+
+def test_pair_tables_stay_within_their_bit_budget(monkeypatch):
+    # {0,1}^10 is a capset and diagonal, so both scans build every window
+    fam = Family(MOD, 10, 3, tuple(itertools.islice(itertools.product((0, 1), repeat=10), 600)))
+    real = setsys._pair_tables
+    windows = []
+
+    def spy(*args):
+        tables = real(*args)
+        windows.append(max(t.bit_length() for table in tables for t in table.values()))
+        return tables
+
+    monkeypatch.setattr(setsys, "_pair_tables", spy)
+    assert find_sunflower(fam) is None
+    assert check_diagonal(fam).ok
+    # 109 rows of 600 bits a window
+    assert len(windows) == 2 * -(-600 // (setsys._PAIR_BITS // 600))
+    assert max(windows) <= setsys._PAIR_BITS + len(fam)
 
 
 def test_planted_lex_largest_witness():

@@ -3,11 +3,12 @@ import json
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slicerank import tensor
+from slicerank import setsys, tensor
 from slicerank.bounds import constant_weight_bound, mod_count_bound, subset_family_bound
 from slicerank.exactnum import reduce_power_vector
 from family_strategies import families
@@ -1207,23 +1208,36 @@ def test_check_diagonal_matches_cubic_loop(fam):
             assert check_diagonal(layer) == _cubic_check_diagonal(layer)
 
 
-@pytest.mark.parametrize(
-    "fam",
-    [
-        Family(BINARY, 2, None, ()),
-        Family(MOD, 2, 3, ()),
-        Family(BINARY, 0, None, ((),)),
-        Family(MOD, 0, 4, ((),)),
-        # proper containments: T(x, x, y) != 0 for x inside y
-        binary_family((0, 0, 1), (0, 1, 1), (1, 1, 1)),
-        binary_family((1, 0, 0), (0, 1, 0), (1, 1, 0)),
-        binary_family((0, 0), (1, 1)),
-        mod_family(3, (0, 1), (1, 2), (2, 0)),
-        mod_family(4, (0, 0), (1, 1), (0, 1)),
-    ],
-)
+DIAGONAL_EDGE_FAMILIES = [
+    Family(BINARY, 2, None, ()),
+    Family(MOD, 2, 3, ()),
+    Family(BINARY, 0, None, ((),)),
+    Family(MOD, 0, 4, ((),)),
+    # proper containments: T(x, x, y) != 0 for x inside y
+    binary_family((0, 0, 1), (0, 1, 1), (1, 1, 1)),
+    binary_family((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+    binary_family((0, 0), (1, 1)),
+    mod_family(3, (0, 1), (1, 2), (2, 0)),
+    mod_family(4, (0, 0), (1, 1), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("fam", DIAGONAL_EDGE_FAMILIES)
 def test_check_diagonal_edge_families(fam):
     assert check_diagonal(fam) == _cubic_check_diagonal(fam)
+
+
+# one row per window: a later window may hold the least violation of a
+# lower member, and the n = 0 member's start mask is its window's one row
+def test_check_diagonal_matches_cubic_loop_in_one_row_windows():
+    with mock.patch.object(setsys, "_PAIR_BITS", 1):
+        test_check_diagonal_matches_cubic_loop()
+
+
+@pytest.mark.parametrize("fam", DIAGONAL_EDGE_FAMILIES)
+def test_check_diagonal_edge_families_in_one_row_windows(fam):
+    with mock.patch.object(setsys, "_PAIR_BITS", 1):
+        test_check_diagonal_edge_families(fam)
 
 
 @settings(max_examples=100, deadline=None)
