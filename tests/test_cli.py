@@ -102,6 +102,33 @@ def test_certify_mod_family(family_file, capsys, tmp_path):
     assert cert["diagonal_ok"] and cert["slice_count"] == "3"
 
 
+CERTIFY_BYTES = [
+    # three weight layers: 3 * 3 slices
+    ("00\n10\n11\n",
+     "setting: binary  n=2\nmembers: 3\ndiagonal_ok: true\nslice_count: 9\n"
+     "closed_form_bound: 9\nconclusion: |A| <= 9\n",
+     '{\n  "D": null,\n  "closed_form_bound": "9",\n  "conclusion": "|A| <= 9",\n'
+     '  "diagonal_ok": true,\n  "family": "00\\n10\\n11\\n",\n'
+     '  "lemma": "diagonal-slice-rank",\n  "n": 2,\n  "setting": "binary",\n'
+     '  "slice_count": "9"\n}\n'),
+    ("0,1\n1,2\n",
+     "setting: mod-d  n=2  D=3\nmembers: 2\ndiagonal_ok: true\nslice_count: 11\n"
+     "closed_form_bound: 15\nconclusion: |A| <= 11\n",
+     '{\n  "D": 3,\n  "closed_form_bound": "15",\n  "conclusion": "|A| <= 11",\n'
+     '  "diagonal_ok": true,\n  "family": "0,1\\n1,2\\n",\n'
+     '  "lemma": "diagonal-slice-rank",\n  "n": 2,\n  "setting": "mod-d",\n'
+     '  "slice_count": "11"\n}\n'),
+]
+
+
+@pytest.mark.parametrize("text,stdout,json_text", CERTIFY_BYTES)
+def test_certify_output_bytes(family_file, capsys, tmp_path, text, stdout, json_text):
+    path = family_file("f.txt", text)
+    out_json = tmp_path / "cert.json"
+    assert run(capsys, "certify", path, "--json", str(out_json)) == (0, stdout, "")
+    assert out_json.read_text() == json_text
+
+
 def test_certify_json_to_directory_is_an_error(family_file, capsys, tmp_path):
     path = family_file("mod.txt", "0\n1\n")
     code, _, err = run(capsys, "certify", path, "--D", "3", "--json", str(tmp_path))
