@@ -5,11 +5,10 @@ per stage.
 Each family is built by one greedy pass over a seeded sample of random
 points: a point joins when it completes a sunflower with no pair of the
 members so far (one `completions` mask per member), so the M^n points are
-never enumerated.  The stages timed are `find_sunflower`, `check_diagonal`
-(over the weight layers in the binary setting) and the slice count, with
-its cache cleared first, as a fresh process pays it; `certify` is
-`slicerank certify` through `cli.main`, also with cold caches.  Times are
-the minimum over --repeats runs, in milliseconds.
+never enumerated.  The stages timed are `find_sunflower` and the slice
+count, with its cache cleared first, as a fresh process pays it; `certify`
+is `slicerank certify` through `cli.main`, also with cold caches.  Times
+are the minimum over --repeats runs, in milliseconds.
 
 Example:
     python scripts/certify_scaling.py
@@ -80,7 +79,7 @@ def time_instance(setting: str, n: int, D: int | None, family: Family, repeats: 
                   workdir: Path) -> dict:
     """Per-stage and end-to-end times of certifying `family`, and what the
     CLI printed."""
-    layers = list(layer_split(family).values()) if setting == BINARY else [family]
+    layers = len(layer_split(family)) if setting == BINARY else 1
     path = workdir / f"{setting}-{n}.txt"
     path.write_text(family.to_text())
     argv = ["certify", str(path)] + ([] if D is None else ["--D", str(D)])
@@ -101,11 +100,9 @@ def time_instance(setting: str, n: int, D: int | None, family: Family, repeats: 
 
     return {
         "find_sunflower": _best_ms(repeats, lambda: find_sunflower(family)),
-        "check_diagonal": _best_ms(
-            repeats, lambda: [tensor.check_diagonal(layer) for layer in layers]),
         "slice_count": _best_ms(repeats, slice_count),
         "certify": _best_ms(repeats, certify),
-        "layers": len(layers),
+        "layers": layers,
         "printed": out.getvalue(),
     }
 
@@ -120,8 +117,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    print("setting n members layers find_sunflower_ms check_diagonal_ms"
-          " slice_count_ms certify_ms slice_count")
+    print("setting n members layers find_sunflower_ms slice_count_ms certify_ms slice_count")
     with tempfile.TemporaryDirectory() as tmp:
         for spec in args.instances:
             name, n = spec.split(":")
@@ -135,7 +131,7 @@ def main() -> None:
             count = next(line.split()[1] for line in t["printed"].splitlines()
                          if line.startswith("slice_count:"))
             print(f"{name} {n} {len(family)} {t['layers']} {t['find_sunflower']:.2f}"
-                  f" {t['check_diagonal']:.2f} {t['slice_count']:.3f} {t['certify']:.2f} {count}")
+                  f" {t['slice_count']:.3f} {t['certify']:.2f} {count}")
 
 
 if __name__ == "__main__":

@@ -14,10 +14,10 @@ once the first two are fixed, so the family-level searches run over pairs:
 `value_masks` indexes the members by digit, and `completions` turns a pair
 into the bitmask of the members that complete a forbidden triple with it.
 `completions` is the only place the rule is stated.  The search calls it per
-pair; the whole-family scans (`find_sunflower` here, `check_diagonal` in
-`slicerank.tensor`) call it once per coordinate and digit pair, to build
-pair tables whose AND holds, for one member a, every completing pair (b, c)
-at once, so a member costs n big-int ANDs a window rather than |F| calls.
+pair; the whole-family scan `find_sunflower` calls it once per coordinate
+and digit pair, to build pair tables whose AND holds, for one member a,
+every completing pair (b, c) at once, so a member costs n big-int ANDs a
+window rather than |F| calls.
 """
 
 from __future__ import annotations
@@ -249,19 +249,7 @@ def triple_is_sunflower(setting: str, x, y, z) -> bool:
     return all((a == b) + (b == c) + (a == c) != 1 for a, b, c in zip(x, y, z))
 
 
-def find_sunflower(family: Family):
-    """Lexicographically least sunflower triple in the family, or None.
-
-    Members are stored sorted, so index order is lex order, and the least
-    triple is the one a scan of `itertools.combinations` would return
-    first.  `_least_triple` finds it as the least (a, b, c) with a < b < c
-    and c among the `completions` of (a, b): O(|F|^2 n) mask operations,
-    nearly all inside big-int ANDs, instead of |F|^3 triples."""
-    triple = _least_triple(family, distinct=True)
-    return None if triple is None else tuple(family.members[i] for i in triple)
-
-
-# bits of a pair table in _least_triple: a window holds at most this many
+# bits of a pair table in find_sunflower: a window holds at most this many
 # (row, column) bits, 8 KB a table, however many members the family has
 _PAIR_BITS = 1 << 16
 
@@ -292,49 +280,46 @@ def _pair_tables(rule: str, members, masks: list[dict[int, int]], lo: int, hi: i
     return tables
 
 
-def _least_triple(family: Family, distinct: bool):
-    """The lexicographically least index triple (a, b, c) with c in
-    completions(x_a, x_b), or None: with a < b < c if `distinct`, else with
-    a <= b and (a, b, c) != (a, a, a).
+def find_sunflower(family: Family):
+    """Lexicographically least sunflower triple in the family, or None.
+
+    Members are stored sorted, so index order is lex order, and the least
+    triple is the one a scan of `itertools.combinations` would return
+    first: the least index triple (a, b, c) with a < b < c and c among the
+    `completions` of (a, b).
 
     The rows b go in windows of max(1, _PAIR_BITS // N).  In a window the
     AND of member a's `_pair_tables` holds completions(x_a, x_b) in row b,
-    and its lowest bit past the pairs a may not take is a's least (b, c)
-    there.
-    Windows go in order, and a later window scans only the members below
-    the best a so far, so a member's first hit is its least pair.
+    and its lowest bit in a column c > b of a row b > a is a's least (b, c)
+    there.  Windows go in order, and a later window scans only the members
+    below the best a so far, so a member's first hit is its least pair.
 
     A window costs n D^2 table products and one AND per member and
     coordinate, each over its rows' N-bit masks at once: O(|F|^2 n) mask
-    operations in all, O(|F| n) Python steps a window."""
+    operations in all, nearly all inside big-int ANDs, instead of |F|^3
+    triples."""
     members = family.members
     N = len(members)
     masks = value_masks(members, family.n)
     rows = max(1, _PAIR_BITS // max(N, 1))
     # the members a still scanned are those below `top`: a < b < c needs
     # a < N - 2, and once a triple is found only a lower a can beat it
-    top = N - 2 if distinct else N
+    top = N - 2
     best = None
     for lo in range(0, N, rows):
         hi = min(N, lo + rows)
-        stop = min(hi - distinct, top)
+        stop = min(hi - 1, top)
         if stop <= 0:
             continue
         tables = _pair_tables(family.setting, members, masks, lo, hi)
-        if distinct:
-            # row b keeps the columns c > b
-            allowed = int("".join(["1" * (N - b - 1) + "0" * (b + 1)
-                                   for b in reversed(range(lo, hi))]), 2)
-        else:
-            # every bit of the window: with n = 0 no table caps the AND
-            allowed = (1 << (hi - lo) * N) - 1
+        # row b keeps the columns c > b
+        allowed = int("".join(["1" * (N - b - 1) + "0" * (b + 1)
+                               for b in reversed(range(lo, hi))]), 2)
         for a in range(stop):
             m = allowed
-            if a >= lo - distinct:
-                # only the rows b > a (b >= a if not distinct), and no (a, a, a)
-                m &= -(1 << (a + distinct - lo) * N)
-                if not distinct:
-                    m ^= 1 << (a - lo) * N + a
+            if a >= lo:
+                # only the rows b > a
+                m &= -(1 << (a + 1 - lo) * N)
             for table, v in zip(tables, members[a]):
                 m &= table[v]
             if m:
@@ -342,7 +327,7 @@ def _least_triple(family: Family, distinct: bool):
                 best = (a, lo + k // N, k % N)
                 top = a
                 break
-    return best
+    return None if best is None else tuple(members[i] for i in best)
 
 
 def layer_split(family: Family) -> dict[int, Family]:

@@ -11,10 +11,11 @@ SOURCES = sorted((ROOT / "src" / "slicerank").glob("*.py"))
 USERS = SOURCES + sorted((ROOT / "scripts").glob("*.py"))
 
 # reference implementations that the tests compare the library's fast paths
-# against: the pointwise tensor, the sunflower predicates and the
-# brute-force search maximum
+# against: the pointwise tensor and its diagonality scan, the sunflower
+# predicates and the brute-force search maximum
 REFERENCE_ORACLES = (
     "tensor_value",
+    "check_diagonal",
     "is_sunflower",
     "triple_is_sunflower",
     "brute_force_max",
@@ -90,8 +91,7 @@ def test_reference_oracles_are_defined():
 
 # what the library's fast paths decide freeness and verify sums with: an
 # oracle that reads one of them checks the producer against itself
-FAST_PATHS = {"completions", "value_masks", "find_sunflower", "_least_triple", "_pair_tables",
-              "_diagram"}
+FAST_PATHS = {"completions", "value_masks", "find_sunflower", "_pair_tables", "_diagram"}
 
 
 def test_reference_oracles_share_nothing_with_the_fast_paths():

@@ -84,14 +84,14 @@ def test_certify_scaling_times_each_stage():
     assert proc.returncode == 0, proc.stderr
     header, *rows = [line.split() for line in proc.stdout.splitlines()]
     assert header == ["setting", "n", "members", "layers", "find_sunflower_ms",
-                      "check_diagonal_ms", "slice_count_ms", "certify_ms", "slice_count"]
+                      "slice_count_ms", "certify_ms", "slice_count"]
     assert [row[:2] for row in rows] == [["binary", "6"], ["mod-3", "3"]]
     for row in rows:
         assert 1 <= int(row[2]) <= 8
-        assert all(float(ms) >= 0 for ms in row[4:8])
+        assert all(float(ms) >= 0 for ms in row[4:7])
     layers = int(rows[0][3])
-    assert int(rows[0][8]) == layers * decomposition_size(BINARY, 6)
-    assert int(rows[1][8]) == decomposition_size(MOD, 3, 3)
+    assert int(rows[0][7]) == layers * decomposition_size(BINARY, 6)
+    assert int(rows[1][7]) == decomposition_size(MOD, 3, 3)
 
 
 def test_search_scaling_times_each_instance():

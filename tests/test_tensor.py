@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from slicerank import setsys, tensor
 from slicerank.bounds import constant_weight_bound, mod_count_bound, subset_family_bound
@@ -17,11 +17,11 @@ from slicerank.setsys import (
     MOD,
     Family,
     completions,
+    find_sunflower,
     layer_split,
     value_masks,
 )
 from slicerank.tensor import (
-    BoundCertificate,
     CertificationError,
     DiagonalityReport,
     NotSunflowerFree,
@@ -1227,23 +1227,33 @@ def test_check_diagonal_edge_families(fam):
     assert check_diagonal(fam) == _cubic_check_diagonal(fam)
 
 
-# one row per window: a later window may hold the least violation of a
-# lower member, and the n = 0 member's start mask is its window's one row
-def test_check_diagonal_matches_cubic_loop_in_one_row_windows():
-    with mock.patch.object(setsys, "_PAIR_BITS", 1):
-        test_check_diagonal_matches_cubic_loop()
+def _diagonal_per_layer(fam):
+    layers = layer_split(fam).values() if fam.setting == BINARY else [fam]
+    return all(check_diagonal(layer).ok for layer in layers)
 
 
+@settings(max_examples=300, deadline=None)
+@given(families(Ds=(3, 4, 5)))
+def test_free_families_are_diagonal(fam):
+    # the lemma certify_family rests on instead of a diagonality scan: T is
+    # diagonal on a sunflower-free family, per weight layer if binary
+    assume(find_sunflower(fam) is None)
+    assert _diagonal_per_layer(fam)
+
+
+# certify takes diagonality from find_sunflower's verdict, whose scan runs in
+# windows: with one row per window, a free edge family is diagonal per layer
 @pytest.mark.parametrize("fam", DIAGONAL_EDGE_FAMILIES)
 def test_check_diagonal_edge_families_in_one_row_windows(fam):
     with mock.patch.object(setsys, "_PAIR_BITS", 1):
-        test_check_diagonal_edge_families(fam)
+        free = find_sunflower(fam) is None
+    assert not free or _diagonal_per_layer(fam)
 
 
 @settings(max_examples=100, deadline=None)
 @given(families(Ds=(3, 4, 5)))
 def test_completions_are_the_support_of_t(fam):
-    # the identity check_diagonal rests on, on repeated members too
+    # the identity the pair tables rest on, on repeated members too
     members = fam.members
     codes = members
     masks = value_masks(codes, fam.n)
@@ -1260,7 +1270,7 @@ def test_completions_are_the_support_of_t(fam):
 
 def test_certify_mod_example():
     cert = certify_family(mod_family(3, (0,), (1,)))
-    assert cert.diagonal_ok
+    assert cert.to_json_dict()["diagonal_ok"]
     assert cert.slice_count <= 3
     assert 2 <= cert.slice_count <= cert.closed_form_bound
     assert cert.conclusion == f"|A| <= {cert.slice_count}"
@@ -1276,14 +1286,14 @@ def test_certify_rejects_sunflower():
 def test_certify_binary_two_layers():
     fam = binary_family((1, 0), (0, 1))
     cert = certify_family(fam)
-    assert cert.diagonal_ok
+    assert cert.to_json_dict()["diagonal_ok"]
     assert cert.slice_count <= constant_weight_bound(2) == 3
     assert cert.closed_form_bound == subset_family_bound(2)
 
 
 def test_certify_empty_family():
     cert = certify_family(Family(BINARY, 3, None, ()))
-    assert cert.slice_count == 0 and cert.diagonal_ok
+    assert cert.slice_count == 0 and cert.to_json_dict()["diagonal_ok"]
 
 
 def test_certify_rejects_slice_count_below_family_size(monkeypatch):
@@ -1368,7 +1378,7 @@ def test_certify_checks_the_slice_count_without_sampling(monkeypatch):
     monkeypatch.setattr(tensor, "_sampled_tuples", no_sampling)
     tensor._structural_slice_count.cache_clear()
     cert = certify_family(Family(BINARY, 6, None, _BITS_6))
-    assert cert.diagonal_ok
+    assert cert.to_json_dict()["diagonal_ok"]
     assert cert.slice_count == 2 * decomposition_size(BINARY, 6)
 
 
@@ -1405,18 +1415,6 @@ def test_certificate_json_fields():
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
-def test_failure_certificate_json_fields():
-    a = (1, 0)
-    b = (1, 1)
-    cert = BoundCertificate(binary_family(a, b), False, (a, a, b), 6, 9, "not-certified")
-    data = json.loads(cert.to_json())
-    assert (data["setting"], data["n"], data["D"]) == (BINARY, 2, None)
-    assert data["diagonal_ok"] is False
-    assert data["diagonal_witness"] == ["10", "10", "11"]
-    assert data["family"] == "10\n11\n"
-    assert (data["slice_count"], data["closed_form_bound"]) == ("6", "9")
-
-
 @st.composite
 def free_mod_families(draw):
     from slicerank.setsys import triple_is_sunflower
@@ -1441,5 +1439,5 @@ def free_mod_families(draw):
 @given(free_mod_families())
 def test_certify_random_free_mod_families(fam):
     cert = certify_family(fam)
-    assert cert.diagonal_ok
+    assert cert.to_json_dict()["diagonal_ok"]
     assert len(fam) <= cert.slice_count <= cert.closed_form_bound
