@@ -205,6 +205,33 @@ def capacities_summary(C: Fraction = DEFAULT_CAPSET_CAPACITY) -> list[BoundRepor
 CSV_HEADER = ["name", "n", "D", "exact", "float", "log2"]
 
 
+def _digit_limit() -> int:
+    # 0, no limit, on Pythons older than the limit (before 3.10.7)
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _past_limit(name: str, n, limit: int) -> ValueError:
+    return ValueError(f"the exact {name} value at n={n} has more than {limit}"
+                      " digits, past the integer string limit")
+
+
+def _refuse_layer_count(n: int, D: int | None, C) -> None:
+    """Raise report_row's error for the layer count at n before its sum is
+    taken, when a lower bound already passes the digit limit: with k = n//3
+    and q = n//k, the count is at least C(n, k) >= q^k >= q^(64 j) >=
+    2^(j (b - 1)), j = k // 64 and b the bit length of q^64, so no power is
+    built that grows with n.  A bad D or C is still named first, as the
+    table's later rows name it before any row is printed."""
+    limit, k = _digit_limit(), n // 3
+    if limit and k >= 64:
+        bits = k // 64 * (((n // k) ** 64).bit_length() - 1)
+        if bits >= (10**limit).bit_length():
+            if D is not None:
+                mod_growth_rate(D)
+            capset_capacity_reduction(0, C)
+            raise _past_limit("layer-count", n, limit)
+
+
 def format_float(v: float | None) -> str:
     return "" if v is None else f"{v:.12g}"
 
@@ -212,16 +239,12 @@ def format_float(v: float | None) -> str:
 def report_row(r: BoundReport) -> list[str]:
     """The row's CSV cells.  Raises ValueError when the exact value has a
     part past Python's integer string limit (sys.get_int_max_str_digits)."""
-    # 0, no limit, on Pythons older than the limit (before 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if r.exact is not None and limit:
         part = max(abs(r.exact.numerator), r.exact.denominator)
         # 2^(3 limit) < 10^limit: only a longer part needs the exact test
         if part.bit_length() > 3 * limit and part >= 10**limit:
-            raise ValueError(
-                f"the exact {r.name} value at n={r.params.get('n')} has more than {limit}"
-                " digits, past the integer string limit"
-            )
+            raise _past_limit(r.name, r.params.get("n"), limit)
     if r.exact is None:
         exact = ""
     elif isinstance(r.exact, Fraction) and r.exact.denominator != 1:
@@ -242,10 +265,15 @@ def bound_table(n: int | None = None, D: int | None = None, C=DEFAULT_CAPSET_CAP
     """All reports relevant to the given parameters, for the CLI table."""
     reports: list[BoundReport] = []
     if n is not None:
-        reports.append(_report("layer-count", {"n": n}, exact=constant_weight_bound(n)))
-        reports.append(_report("family-count", {"n": n}, exact=subset_family_bound(n)))
+        _refuse_layer_count(n, D, C)
+        # one sum for the three rows: subset_family_bound and layer_bound_root
+        # of the same layer bound
+        layer = constant_weight_bound(n)
+        reports.append(_report("layer-count", {"n": n}, exact=layer))
+        reports.append(_report("family-count", {"n": n}, exact=(n + 1) * layer))
         if n >= 1:
-            reports.append(_report("layer-count-root", {"n": n}, value=layer_bound_root(n)))
+            root = math.exp(math.log(layer) / n)
+            reports.append(_report("layer-count-root", {"n": n}, value=root))
     if D is not None:
         reports.append(mod_growth_rate(D))
         if n is not None:

@@ -94,7 +94,11 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    reports = bounds_mod.bound_table(args.n, args.D, Fraction(args.C))
+    try:
+        C = Fraction(args.C)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--C takes a rational number, got {args.C!r}") from None
+    reports = bounds_mod.bound_table(args.n, args.D, C)
     rows = [bounds_mod.report_row(r) for r in reports]
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

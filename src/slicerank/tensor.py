@@ -310,7 +310,12 @@ def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
 # coordinate-k digits of the three factors and the child is a level-(k+1)
 # node over the remaining coordinates.  Nodes are built bottom-up and hash-consed with their
 # coefficients divided by their gcd (signed by the first edge), so sub-sums
-# equal up to a scalar are stored once.
+# equal up to a scalar are stored once.  The top ceil(n/2) coordinates are
+# read as one block: the terms are grouped by their low coordinates, each
+# group's block (its top labels and coefficients) is sorted, and only the
+# distinct blocks are interned through the top levels.  T's blocks are
+# scalar multiples of its top half, so the expansion and its slices have a
+# handful, while every low prefix still takes its block's node.
 #
 # Monomials on {0,1}^(3n) and characters of (Z/D)^(3n) are bases, so a term
 # sum equals T iff its merged coefficient table is T's.  T's table merges to
@@ -368,6 +373,23 @@ def _spread(n: int, M: int) -> list[int]:
     return sx
 
 
+def _intern_level(groups: dict, W: int) -> list:
+    """The nodes of one level.  Each group of packed edges key + W * coef,
+    the key label + M^3 * child and W = M^3 * C, is replaced in place by its
+    node's (factor, index), or None; groups often repeat exactly, so each
+    distinct edge tuple is normalised once."""
+    nodes: list[tuple[int, ...]] = []
+    index: dict[tuple[int, ...], int] = {}
+    entries: dict[tuple[int, ...], tuple[int, int] | None] = {}
+    for prefix, packed in groups.items():
+        packed = tuple(packed)
+        try:
+            groups[prefix] = entries[packed]
+        except KeyError:
+            groups[prefix] = entries[packed] = _intern(packed, W, nodes, index)
+    return nodes
+
+
 def _diagram(obj):
     """The hash-consed coordinate diagram of a TermSum's or
     SliceDecomposition's terms.
@@ -377,18 +399,26 @@ def _diagram(obj):
     n = 0; coef = 0 when the terms cancel).  A node is a tuple of packed
     edges label + M^3 * (child + C * coef), where C is the number of nodes
     one level down (C = 1 and child = 0 at the last level).
+
+    The top h = ceil(n/2) coordinates form a block: the terms are grouped
+    by their low n - h coordinate labels, and only the distinct blocks
+    (each sorted, so equal blocks are found whatever the term order) are
+    interned through levels n-1 .. n-h; each low prefix then takes its
+    block's (factor, node).  Nodes are numbered in the order their blocks,
+    then their low prefixes, are first met.
     """
     n, M = obj.n, _alphabet(obj)
     L = M**3
+    h = (n + 1) // 2
     outside = f"a term factor lies outside the domain of n={n}"
     # the spread factors of a term add up to one int whose digit i in base
     # L is the coordinate-i label dx + M dy + M^2 dz; reading a term splits
-    # off the last coordinate's label at once, and the rest is the prefix
-    # the last level groups by
+    # off the block's labels at once, packed with the coefficient, and the
+    # rest is the low prefix the block is grouped by
     sx = _spread(n, M)
     sy = [M * s for s in sx]
     sz = [M * M * s for s in sx]
-    P = L ** (n - 1) if n else 1
+    P, Lh = L ** (n - h), L**h
     groups: dict[int, list[int]] = {}
     try:
         if isinstance(obj, TermSum):
@@ -399,9 +429,9 @@ def _diagram(obj):
                 prefix = pack % P
                 group = groups.get(prefix)
                 if group is None:
-                    groups[prefix] = [pack // P + L * num]
+                    groups[prefix] = [pack // P + Lh * num]
                 else:
-                    group.append(pack // P + L * num)
+                    group.append(pack // P + Lh * num)
         else:
             # a slice adds its factor's spread once, to each residual term
             tables = (sx, sy, sz)
@@ -418,44 +448,49 @@ def _diagram(obj):
                     prefix = pack % P
                     group = groups.get(prefix)
                     if group is None:
-                        groups[prefix] = [pack // P + L * num]
+                        groups[prefix] = [pack // P + Lh * num]
                     else:
-                        group.append(pack // P + L * num)
+                        group.append(pack // P + Lh * num)
     except IndexError:
         raise ValueError(outside) from None
     if not n:
-        # the one empty prefix: its edges carry the constant terms
-        return sum(e // L for e in groups.get(0, ())), []
+        # the one empty prefix: its entries are the constant terms
+        return sum(groups.get(0, ())), []
+    # each low prefix's block id; the expansion's blocks are scalar multiples
+    # of T's top half, a few distinct ones
+    blocks: dict[tuple[int, ...], int] = {}
+    low = {}
+    for prefix, group in groups.items():
+        group.sort()
+        low[prefix] = blocks.setdefault(tuple(group), len(blocks))
+    # the blocks' prefixes put the block id below the coordinate labels
+    B, Q = len(blocks), Lh // L
+    groups = {}
+    for b, block in enumerate(blocks):
+        for e in block:
+            groups.setdefault(b + B * (e % Q), []).append(e // Q)
+    top = B * Q
     C = 1
     levels = []
     for k in range(n - 1, -1, -1):
-        W = L * C
-        nodes: list[tuple[int, ...]] = []
-        index: dict[tuple[int, ...], int] = {}
-        # a group's packed edges decide its (factor, node), and groups often
-        # repeat exactly (the expansion's differ only by a few scalars), so
-        # each distinct edge tuple is normalised once; each group's list is
-        # replaced by its entry in place, freeing the lists as it goes
-        entries: dict[tuple[int, ...], tuple[int, int] | None] = {}
-        for prefix, packed in groups.items():
-            packed = tuple(packed)
-            try:
-                groups[prefix] = entries[packed]
-            except KeyError:
-                groups[prefix] = entries[packed] = _intern(packed, W, nodes, index)
+        nodes = _intern_level(groups, L * C)
         levels.append(nodes)
         C = len(nodes)
+        if k == n - h:
+            # each low prefix takes its block's entry
+            groups = {prefix: groups.get(b) for prefix, b in low.items()}
+            top = P
         if k:
-            # the edge to each node, under the prefix's coordinate-(k-1)
-            # label, grouped by the coordinates below it
-            P //= L
+            # the edge to each node, under the prefix's top digit (the
+            # coordinate-(k-1) label), grouped by the digits below it
+            top //= L
             nxt: dict[int, list[int]] = {}
             for prefix, entry in groups.items():
                 if entry:
-                    edge = prefix // P + L * (entry[0] * C + entry[1])
-                    group = nxt.get(prefix % P)
+                    edge = prefix // top + L * (entry[0] * C + entry[1])
+                    group = nxt.get(prefix % top)
                     if group is None:
-                        nxt[prefix % P] = [edge]
+                        nxt[prefix % top] = [edge]
                     else:
                         group.append(edge)
             groups = nxt

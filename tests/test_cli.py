@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from slicerank import bounds as bounds_mod
 from slicerank import tensor as tensor_mod
 from slicerank.bounds import mod_count_bound
 from slicerank.cli import main
@@ -286,6 +287,26 @@ def test_bounds_at_large_n_is_refused_quickly(capsys):
     assert (code, out) == (2, "")
     assert err == ("error: the exact layer-count value at n=20000 has more than 4300 digits,"
                    " past the integer string limit\n")
+
+
+def test_bounds_refuses_a_huge_n_before_summing(capsys, monkeypatch):
+    # 3^(n//3) <= C(n, n//3) already has more digits than Python prints, so
+    # no binomial tail is summed
+    def tail(*args):
+        raise AssertionError("binomial_tail was called")
+
+    monkeypatch.setattr(bounds_mod, "binomial_tail", tail)
+    code, out, err = run(capsys, "bounds", "--n", "2000000")
+    assert (code, out) == (2, "")
+    assert err == ("error: the exact layer-count value at n=2000000 has more than 4300 digits,"
+                   " past the integer string limit\n")
+
+
+@pytest.mark.parametrize("C", ["1/0", "abc", "1/"])
+def test_bounds_rejects_a_capacity_that_is_not_rational(capsys, C):
+    code, out, err = run(capsys, "bounds", "--n", "3", "--C", C)
+    assert (code, out) == (2, "")
+    assert err == f"error: --C takes a rational number, got {C!r}\n"
 
 
 @pytest.mark.parametrize("exponent", [160, 200])

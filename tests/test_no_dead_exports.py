@@ -91,7 +91,8 @@ def test_reference_oracles_are_defined():
 
 # what the library's fast paths decide freeness and verify sums with: an
 # oracle that reads one of them checks the producer against itself
-FAST_PATHS = {"completions", "value_masks", "find_sunflower", "_pair_tables", "_diagram"}
+FAST_PATHS = {"completions", "value_masks", "find_sunflower", "_pair_tables", "_diagram",
+              "_intern_level"}
 
 
 def test_reference_oracles_share_nothing_with_the_fast_paths():

@@ -120,9 +120,13 @@ def test_verify_scaling_times_each_instance():
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = [line.split() for line in proc.stdout.splitlines()]
-    assert header == ["setting", "n", "D", "terms", "slices", "seconds"]
+    assert header == ["setting", "n", "D", "terms", "slices", "expand_ms",
+                      "verify_expansion_ms", "decompose_ms", "verify_decomposition_ms", "seconds"]
     assert [row[:5] for row in rows] == [
         ["binary", "3", "-", str(4**3), str(decomposition_size(BINARY, 3))],
         ["mod-d", "2", "3", str(6**2), str(decomposition_size(MOD, 2, 3))],
     ]
-    assert all(float(row[5]) >= 0 for row in rows)
+    for row in rows:
+        # the stages run inside the timed call
+        stages = [float(cell) for cell in row[5:9]]
+        assert min(stages) >= 0 and sum(stages) <= float(row[9]) * 1e3 + 0.5

@@ -855,6 +855,8 @@ def test_is_product_rejects_a_dropped_residual_term(setting, n, D):
 # and grouped under (fx, fy, fz) tuples, and decompose chose each term's axis by
 # a call that range-checked and measured its three factors (its rows keep the
 # terms' order, as decompose's do).  Node interning is shared (tensor._intern).
+# The reference numbers a level's nodes by first appearance, the library by
+# block, so diagrams that are not chains are compared in a canonical form.
 
 
 def _reference_terms(obj):
@@ -950,12 +952,44 @@ def _reference_decompose(ts):
     return SliceDecomposition(ts.setting, ts.n, ts.D, ts.denominator, slices)
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     # the result, or the message of the ValueError it raised
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         return "ValueError", str(exc)
+
+
+def _canonical(obj, outcome):
+    # a diagram renumbered and re-signed bottom-up, so that equal sums give
+    # equal diagrams whatever order their nodes were met in: each node's
+    # children take their canonical index and sign, its edges are re-sorted
+    # and signed by the first, as tensor._intern signs them, and each level's
+    # nodes are sorted; an error outcome is left as it is
+    if outcome[0] == "ValueError":
+        return outcome
+    coef, levels = outcome
+    L = (2 if obj.setting == BINARY else obj.D) ** 3
+    C, index, sign = 1, [0], [1]
+    canonical = []
+    for level in reversed(levels):
+        W = L * C
+        forms = []
+        for node in level:
+            edges = sorted((index[e % W // L] * L + e % L, sign[e % W // L] * (e // W))
+                           for e in node)
+            s = -1 if edges[0][1] < 0 else 1
+            forms.append((tuple(key + W * s * c for key, c in edges), s))
+        order = sorted(range(len(forms)), key=lambda i: forms[i][0])
+        index = [0] * len(forms)
+        for new, old in enumerate(order):
+            index[old] = new
+        sign = [s for _, s in forms]
+        canonical.append([forms[i][0] for i in order])
+        C = len(level)
+    if coef:
+        coef *= sign[0]
+    return coef, canonical[::-1]
 
 
 @st.composite
@@ -1005,14 +1039,52 @@ def test_packed_build_matches_the_reference(instance):
         dec if isinstance(dec, tuple) else dec.slice_count
     )
     for obj in (ts, slices) + ((dec,) if isinstance(dec, SliceDecomposition) else ()):
-        assert _outcome(tensor._diagram, obj) == _outcome(_reference_diagram, obj)
+        assert (_canonical(obj, _outcome(tensor._diagram, obj))
+                == _canonical(obj, _outcome(_reference_diagram, obj)))
+
+
+def _shuffled(obj, rng):
+    # the same terms in another order: a sum's terms, or a decomposition's
+    # slices and each slice's rows
+    if isinstance(obj, TermSum):
+        return TermSum(obj.setting, obj.n, obj.D, obj.denominator,
+                       tuple(rng.sample(obj.terms, len(obj.terms))))
+    slices = [Slice(sl.axis, sl.factor, tuple(rng.sample(sl.residual, len(sl.residual))))
+              for sl in obj.slices]
+    rng.shuffle(slices)
+    return SliceDecomposition(obj.setting, obj.n, obj.D, obj.denominator, tuple(slices))
+
+
+@settings(max_examples=100, deadline=None)
+@given(altered_expansions(), st.integers(0, 2**16))
+def test_term_order_leaves_the_diagram_and_verdicts_unchanged(instance, seed):
+    # the blocks are sorted before they are deduplicated, so any order of
+    # the same terms builds the same diagram up to numbering
+    ts, slices = instance
+    rng = random.Random(seed)
+    M = 2 if ts.D is None else ts.D
+    modes = [dict(mode="sampled", samples=40, seed=seed)]
+    if M ** (3 * ts.n) <= 4096:
+        modes.append(dict(mode="exhaustive"))
+    dec = _outcome(decompose, ts)
+    pairs = [(ts, verify_expansion), (slices, verify_decomposition)]
+    if isinstance(dec, SliceDecomposition):
+        pairs.append((dec, verify_decomposition))
+    for obj, verify in pairs:
+        other = _shuffled(obj, rng)
+        assert (_canonical(obj, _outcome(tensor._diagram, other))
+                == _canonical(obj, _outcome(tensor._diagram, obj)))
+        for kwargs in modes:
+            assert _outcome(verify, other, **kwargs) == _outcome(verify, obj, **kwargs)
 
 
 @pytest.mark.parametrize(
-    "setting,n,D", [(BINARY, n, None) for n in range(0, 7)]
+    "setting,n,D", [(BINARY, n, None) for n in range(0, 9)]
     + [(MOD, n, D) for D in (3, 4, 5) for n in range(0, 4)],
 )
 def test_packed_build_matches_the_reference_on_expansions(setting, n, D):
+    # the expansion's diagram is a chain, one node a level, so numbering
+    # cannot differ and the diagrams are exactly equal
     ts = expand_tensor(setting, n, D)
     dec = decompose(ts)
     assert dec == _reference_decompose(ts)
@@ -1035,7 +1107,8 @@ def test_bad_terms_raise_the_reference_messages(setting, n, D, term):
     assert _outcome(count_slices, ts) == want
     # the diagram of the terms and of one-term slices on each axis
     for obj in [ts] + [_as_slices(ts, [axis] * 2) for axis in range(3)]:
-        assert _outcome(tensor._diagram, obj) == _outcome(_reference_diagram, obj)
+        assert (_canonical(obj, _outcome(tensor._diagram, obj))
+                == _canonical(obj, _outcome(_reference_diagram, obj)))
 
 
 def _wrong_at_all_ones(n):
