@@ -51,6 +51,20 @@ def _report(name: str, params: dict, exact=None, value=None) -> BoundReport:
     return BoundReport(name, params, exact, value, log2)
 
 
+def _root_report(name: str, params: dict, radicand: Fraction, k: int, root) -> BoundReport:
+    """The report of radicand^(1/k), its float root(float(radicand)).  Past
+    the float range of the radicand, the root's log2 is exact from the
+    radicand's numerator and denominator, and the float column reads inf
+    only where the root itself overflows."""
+    try:
+        value = root(float(radicand))
+    except OverflowError:
+        log2 = (math.log2(radicand.numerator) - math.log2(radicand.denominator)) / k
+        value = 2.0**log2 if log2 < sys.float_info.max_exp else math.inf
+        return BoundReport(name, params, None, value, log2)
+    return _report(name, params, value=value)
+
+
 # ---------------------------------------------------------------------------
 # binary setting
 
@@ -131,15 +145,7 @@ def mod_growth_rate(D: int) -> BoundReport:
     exact = _int_cbrt(cubed.numerator) if cubed.denominator == 1 else None
     if exact is not None:
         return _report("mod-growth-rate", params, exact=exact)
-    try:
-        value = float(cubed) ** (1 / 3)
-    except OverflowError:
-        # the cube is past the float range: log2 is exact from its numerator
-        # and denominator, and the float column reads inf only where g_D is
-        log2 = (math.log2(cubed.numerator) - math.log2(cubed.denominator)) / 3
-        value = 2.0**log2 if log2 < sys.float_info.max_exp else math.inf
-        return BoundReport("mod-growth-rate", params, None, value, log2)
-    return _report("mod-growth-rate", params, value=value)
+    return _root_report("mod-growth-rate", params, cubed, 3, lambda v: v ** (1 / 3))
 
 
 def count_below_growth_power(n: int, D: int) -> bool:
@@ -149,11 +155,6 @@ def count_below_growth_power(n: int, D: int) -> bool:
         raise ValueError("need D >= 3 and n >= 1")
     lhs = binomial_tail(n, (2 * n) // 3, D - 1)
     return lhs**3 * 4**n <= 27**n * (D - 1) ** (2 * n)
-
-
-def search_max_within_growth(max_size: int, n: int, D: int) -> bool:
-    """Exact check that max_size <= 3 * g_D^n, again by cubing."""
-    return max_size**3 * 4**n <= 27 ** (n + 1) * (D - 1) ** (2 * n)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +175,7 @@ def capset_capacity_reduction(n: int, C: Fraction = DEFAULT_CAPSET_CAPACITY) -> 
         raise ValueError("capacity estimate must be nonnegative")
     params = {"n": n, "C": C}
     count = _report("capset-reduction-count", params, exact=(1 + C) ** n)
-    try:
-        root = math.sqrt(float(1 + C))
-    except OverflowError:
-        # 1 + C is past the float range, but its root may not be: the root's
-        # log2 is exact from the numerator and denominator of 1 + C, and the
-        # float column reads inf only where the root itself overflows
-        log2 = (math.log2((1 + C).numerator) - math.log2((1 + C).denominator)) / 2
-        value = 2.0**log2 if log2 < sys.float_info.max_exp else math.inf
-        return [count, BoundReport("capset-reduction-capacity", params, None, value, log2)]
-    return [count, _report("capset-reduction-capacity", params, value=root)]
+    return [count, _root_report("capset-reduction-capacity", params, 1 + C, 2, math.sqrt)]
 
 
 def capacities_summary(C: Fraction = DEFAULT_CAPSET_CAPACITY) -> list[BoundReport]:

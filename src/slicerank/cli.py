@@ -15,8 +15,9 @@ Subcommands tie the library into reproducible pipelines:
 Exit codes: 0 = success / property verified; 1 = checked and false (a
 sunflower was found, a decomposition or a certificate's slice count failed
 its check, a layer is not a capset);
-2 = usage or resource error.  All randomness is seed-controlled, so a rerun
-with identical flags is byte-identical.
+2 = usage or resource error.  Every artifact is written before anything is
+printed, so a failed write leaves stdout empty.  Sampled points come from
+one fixed stream, so a rerun with identical flags is byte-identical.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _verify_tensor(args) -> int:
     if args.samples is None:
         kwargs = dict(mode="exhaustive")
     else:
-        kwargs = dict(mode="sampled", samples=args.samples, seed=args.seed)
+        kwargs = dict(mode="sampled", samples=args.samples)
     try:
         ts = tensor_mod.expand_tensor(args.setting, args.n, args.D)
     except ArithmeticError as exc:  # the one-coordinate lemma failed
@@ -174,7 +175,7 @@ def cmd_search(args) -> int:
         symmetry=not args.no_symmetry,
     )
     result = search_mod.max_free_family(cfg)
-    report = search_mod.validate_against_bounds(result, cfg)
+    bound, bound_name = search_mod.validate_against_bounds(result, cfg)
     # built before any artifact is written, so a witness the text format
     # cannot hold leaves no file behind
     witness_text = result.witness.to_text() if args.witness_out else None
@@ -185,7 +186,7 @@ def cmd_search(args) -> int:
     print(f"max: {result.max_size}")
     print(f"optimal: {str(result.optimal).lower()}")
     print(f"nodes: {result.nodes}")
-    print(f"bound: {report['bound']} ({report['bound_name']})")
+    print(f"bound: {bound} ({bound_name})")
     for m in result.witness:
         print(f"member: {result.witness.line(m)}")
     return 0
@@ -194,35 +195,27 @@ def cmd_search(args) -> int:
 def cmd_encode(args) -> int:
     family = _load_family(args.family, None)
     encoded = pair_encode(family)
-    print(f"encoded {len(encoded)} members over {{0,1,2,3}}^{encoded.n}")
-    for m in encoded:
-        print(f"member: {encoded.line(m)}")
     supports = sorted({tuple(1 if s == 3 else 0 for s in m) for m in encoded})
     layers = []
-    all_capsets = True
     for x in supports:
         fam = layer_extract(encoded, x)
-        capset_ok = is_capset(fam)
-        all_capsets = all_capsets and capset_ok
-        xs = "".join(str(c) for c in x)
-        print(f"layer x={xs}: {len(fam)} members, capset: {str(capset_ok).lower()}")
         layers.append(
             {
-                "x": xs,
+                "x": "".join(str(c) for c in x),
                 "members": [fam.line(m) for m in fam],
-                "capset": capset_ok,
+                "capset": is_capset(fam),
             }
         )
+    members = [encoded.line(m) for m in encoded]
     if args.json:
-        _write_json(
-            args.json,
-            {
-                "n": encoded.n,
-                "members": [encoded.line(m) for m in encoded],
-                "layers": layers,
-            },
-        )
-    return 0 if all_capsets else 1
+        _write_json(args.json, {"n": encoded.n, "members": members, "layers": layers})
+    print(f"encoded {len(encoded)} members over {{0,1,2,3}}^{encoded.n}")
+    for line in members:
+        print(f"member: {line}")
+    for layer in layers:
+        print(f"layer x={layer['x']}: {len(layer['members'])} members,"
+              f" capset: {str(layer['capset']).lower()}")
+    return 0 if all(layer["capset"] for layer in layers) else 1
 
 
 # --- parser ----------------------------------------------------------------------
@@ -259,8 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--D", type=int, default=None)
     p.add_argument("--samples", type=int, default=None,
-                   help="seeded random points (default: the full domain)")
-    p.add_argument("--seed", type=int, default=0)
+                   help="points from one fixed random stream (default: the full domain)")
     p.set_defaults(func=cmd_verify_tensor)
 
     p = sub.add_parser("search", help="branch-and-bound maximum free family")

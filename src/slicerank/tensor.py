@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -235,7 +236,7 @@ def decompose(ts: TermSum) -> SliceDecomposition:
     at most n resp. 2n.  Slices come by axis, then factor; a slice's rows
     keep the order their terms have in ts.terms."""
     threshold, limit, within = _slicing(ts)
-    gx, gy, gz = groups = ({}, {}, {})
+    gx, gy, gz = groups = (defaultdict(list), defaultdict(list), defaultdict(list))
     for term in ts.terms:
         num, fx, fy, fz = term
         if not (0 <= fx < limit and 0 <= fy < limit and 0 <= fz < limit):
@@ -248,11 +249,7 @@ def decompose(ts: TermSum) -> SliceDecomposition:
             group, factor, row = gz, fz, (num, fx, fy)
         else:
             raise _term_error(term, threshold, limit)
-        rows = group.get(factor)
-        if rows is None:
-            group[factor] = [row]
-        else:
-            rows.append(row)
+        group[factor].append(row)
     # popping frees each row list as soon as its tuple is made
     slices = tuple(
         Slice(axis, factor, tuple(group.pop(factor)))
@@ -419,19 +416,14 @@ def _diagram(obj):
     sy = [M * s for s in sx]
     sz = [M * M * s for s in sx]
     P, Lh = L ** (n - h), L**h
-    groups: dict[int, list[int]] = {}
+    groups = defaultdict(list)
     try:
         if isinstance(obj, TermSum):
             for num, fx, fy, fz in obj.terms:
                 if fx | fy | fz < 0:
                     raise ValueError(outside)
                 pack = sx[fx] + sy[fy] + sz[fz]
-                prefix = pack % P
-                group = groups.get(prefix)
-                if group is None:
-                    groups[prefix] = [pack // P + Lh * num]
-                else:
-                    group.append(pack // P + Lh * num)
+                groups[pack % P].append(pack // P + Lh * num)
         else:
             # a slice adds its factor's spread once, to each residual term
             tables = (sx, sy, sz)
@@ -445,12 +437,7 @@ def _diagram(obj):
                     if fa | fb < 0:
                         raise ValueError(outside)
                     pack = base + ta[fa] + tb[fb]
-                    prefix = pack % P
-                    group = groups.get(prefix)
-                    if group is None:
-                        groups[prefix] = [pack // P + Lh * num]
-                    else:
-                        group.append(pack // P + Lh * num)
+                    groups[pack % P].append(pack // P + Lh * num)
     except IndexError:
         raise ValueError(outside) from None
     if not n:
@@ -465,10 +452,10 @@ def _diagram(obj):
         low[prefix] = blocks.setdefault(tuple(group), len(blocks))
     # the blocks' prefixes put the block id below the coordinate labels
     B, Q = len(blocks), Lh // L
-    groups = {}
+    groups = defaultdict(list)
     for b, block in enumerate(blocks):
         for e in block:
-            groups.setdefault(b + B * (e % Q), []).append(e // Q)
+            groups[b + B * (e % Q)].append(e // Q)
     top = B * Q
     C = 1
     levels = []
@@ -484,15 +471,10 @@ def _diagram(obj):
             # the edge to each node, under the prefix's top digit (the
             # coordinate-(k-1) label), grouped by the digits below it
             top //= L
-            nxt: dict[int, list[int]] = {}
+            nxt = defaultdict(list)
             for prefix, entry in groups.items():
                 if entry:
-                    edge = prefix // top + L * (entry[0] * C + entry[1])
-                    group = nxt.get(prefix % top)
-                    if group is None:
-                        nxt[prefix % top] = [edge]
-                    else:
-                        group.append(edge)
+                    nxt[prefix % top].append(prefix // top + L * (entry[0] * C + entry[1]))
             groups = nxt
     # what is left is the root, under the empty prefix
     entry = groups.get(0)
@@ -609,8 +591,10 @@ def _all_points(M: int, n: int):
     return itertools.product(list(itertools.product(range(M), repeat=n)), repeat=3)
 
 
-def _sampled_tuples(M: int, n: int, samples: int, seed: int):
-    rng = random.Random(seed)
+def _sampled_tuples(M: int, n: int, samples: int):
+    """Three axes of `samples` coordinate tuples each, drawn from one fixed
+    stream, so a rerun samples the same points."""
+    rng = random.Random(0)
     axes = []
     for _ in range(3):
         axes.append([tuple(rng.randrange(M) for _ in range(n)) for _ in range(samples)])
@@ -631,7 +615,7 @@ def _witness(obj, diagram, points):
     return None
 
 
-def _verify(obj, mode, samples, seed):
+def _verify(obj, mode, samples):
     if mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled verification needs at least 1 sample, got {samples}")
@@ -651,30 +635,27 @@ def _verify(obj, mode, samples, seed):
             )
         points = _all_points(M, n)
     else:
-        points = zip(*_sampled_tuples(M, n, samples, seed))
+        points = zip(*_sampled_tuples(M, n, samples))
     return False, _witness(obj, diagram, points)
 
 
-def verify_expansion(
-    ts: TermSum, mode: str = "exhaustive", samples: int = 200, seed: int = 0
-):
+def verify_expansion(ts: TermSum, mode: str = "exhaustive", samples: int = 200):
     """Check that the expansion equals the product form.  Returns
     (ok, witness-point-or-None).  The verdict is exact in both modes: a sum
     passes iff its diagram is the product form's.  Any other sum fails and
     is scanned pointwise for its witness, the first failing point: over the
     whole domain in exhaustive mode, where the witness is the
-    lexicographically least and the caps bound the scan, or on seeded
-    samples, which can all miss the failure and then leave it None."""
-    return _verify(ts, mode, samples, seed)
+    lexicographically least and the caps bound the scan, or on `samples`
+    points drawn from a fixed stream, which can all miss the failure and
+    then leave it None."""
+    return _verify(ts, mode, samples)
 
 
-def verify_decomposition(
-    dec: SliceDecomposition, mode: str = "exhaustive", samples: int = 200, seed: int = 0
-):
+def verify_decomposition(dec: SliceDecomposition, mode: str = "exhaustive", samples: int = 200):
     """Check that the slices sum back to the product form, as
     verify_expansion checks an expansion.  Returns
     (ok, witness-point-or-None)."""
-    return _verify(dec, mode, samples, seed)
+    return _verify(dec, mode, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +701,10 @@ class BoundCertificate:
     family: Family
     slice_count: int
     closed_form_bound: int
-    conclusion: str
+
+    @property
+    def conclusion(self) -> str:
+        return f"|A| <= {self.slice_count}"
 
     def to_json_dict(self) -> dict:
         return {
@@ -788,4 +772,4 @@ def certify_family(family: Family) -> BoundCertificate:
             f"expected |A| = {len(family)} <= slice count {slice_count}"
             f" <= closed form {closed_form}"
         )
-    return BoundCertificate(family, slice_count, closed_form, f"|A| <= {slice_count}")
+    return BoundCertificate(family, slice_count, closed_form)

@@ -17,7 +17,6 @@ from slicerank.bounds import (
     mod_count_bound,
     mod_growth_rate,
     report_row,
-    search_max_within_growth,
     subset_family_bound,
 )
 
@@ -126,13 +125,6 @@ def test_count_below_growth_power_sweep():
     for D in range(3, 21):
         for n in range(1, 51):
             assert count_below_growth_power(n, D)
-
-
-def test_count_bound_consistent_with_growth():
-    # mod_count_bound(n,D) <= 3 g_D^n exactly, via the cubed comparison
-    for D in range(3, 8):
-        for n in range(1, 21):
-            assert search_max_within_growth(mod_count_bound(n, D) // 3, n, D)
 
 
 # --- capset reduction --------------------------------------------------------------

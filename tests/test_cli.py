@@ -378,9 +378,20 @@ def test_verify_tensor_fails_a_sum_no_sample_shows_wrong(capsys, monkeypatch):
 def test_verify_tensor_mod_sampled(capsys):
     code, out, _ = run(
         capsys, "verify-tensor", "--setting", "mod-d", "--n", "2", "--D", "4",
-        "--samples", "32", "--seed", "5",
+        "--samples", "32",
     )
     assert code == 0
+
+
+def test_verify_tensor_takes_no_seed(capsys):
+    # sampled points come from one fixed stream; --seed is no option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-tensor", "--setting", "binary", "--n", "2", "--samples", "5",
+              "--seed", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 1" in captured.err
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -551,6 +562,14 @@ def test_encode_displayed_example(family_file, capsys, tmp_path):
     data = json.loads((tmp_path / "enc.json").read_text())
     assert data["members"] == ["1,3", "2,0"]
     assert all(layer["capset"] for layer in data["layers"])
+
+
+def test_encode_writes_its_json_before_printing(family_file, capsys, tmp_path):
+    # a report that cannot be written leaves stdout empty
+    path = family_file("enc.txt", "1011\n0100\n")
+    code, out, err = run(capsys, "encode", path, "--json", str(tmp_path / "no-dir" / "enc.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_encode_rejects_odd_dimension(family_file, capsys):

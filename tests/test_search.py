@@ -525,17 +525,18 @@ def test_greedy_matches_reference_scan(cfg):
 
 def test_validate_against_bounds():
     r = max_free_family(SearchConfig(BINARY, 2))
-    report = validate_against_bounds(r, SearchConfig(BINARY, 2))
-    assert report["max"] == 3 and report["bound"] == subset_family_bound(2) == 9
+    assert r.max_size == 3
+    assert validate_against_bounds(r, SearchConfig(BINARY, 2)) == (
+        subset_family_bound(2), "family-count") == (9, "family-count")
 
     r = max_free_family(SearchConfig(MOD, 1, D=3))
-    report = validate_against_bounds(r, SearchConfig(MOD, 1, D=3))
-    assert report["max"] == 2 and report["bound"] == mod_count_bound(1, 3) == 3
-    assert report["within_growth_power"]
+    assert r.max_size == 2
+    assert validate_against_bounds(r, SearchConfig(MOD, 1, D=3)) == (
+        mod_count_bound(1, 3), "mod-slice-count") == (3, "mod-slice-count")
 
     r = max_free_family(SearchConfig(CAPSET, 2))
-    report = validate_against_bounds(r, SearchConfig(CAPSET, 2))
-    assert report["max"] == 4 and report["bound"] == 9
+    assert r.max_size == 4
+    assert validate_against_bounds(r, SearchConfig(CAPSET, 2)) == (9, "universe-size")
 
 
 def test_validate_raises_on_violation():
@@ -559,9 +560,8 @@ _MOD_ARGV = ["--setting", "mod-d", "--n", "1", "--D", "3"]
     [
         ("subset_family_bound", 1, SearchConfig(BINARY, 2), _BINARY_ARGV, "family bound"),
         ("mod_count_bound", 1, SearchConfig(MOD, 1, D=3), _MOD_ARGV, "slice-count"),
-        ("search_max_within_growth", False, SearchConfig(MOD, 1, D=3), _MOD_ARGV, "growth-rate"),
     ],
-    ids=["family-bound", "slice-count", "growth"],
+    ids=["family-bound", "slice-count"],
 )
 def test_bound_violation_is_named_and_exits_2(monkeypatch, capsys, bound_fn, value, cfg, argv,
                                               message):

@@ -444,7 +444,7 @@ def test_corrupted_decomposition_is_caught():
 def test_verify_exhaustive_and_sampled_agree():
     dec = decompose(expand_tensor(MOD, 2, 3))
     assert verify_decomposition(dec) == (True, None)
-    assert verify_decomposition(dec, mode="sampled", samples=64, seed=7) == (True, None)
+    assert verify_decomposition(dec, mode="sampled", samples=64) == (True, None)
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -468,7 +468,7 @@ def test_sampled_mode_catches_global_corruption():
         dec.setting, dec.n, dec.D, dec.denominator,
         rest + (Slice(sl.axis, sl.factor, ((7, 0, 0),) + sl.residual),),
     )
-    ok, witness = verify_decomposition(broken, mode="sampled", samples=10, seed=3)
+    ok, witness = verify_decomposition(broken, mode="sampled", samples=10)
     assert not ok and witness is not None and len(witness) == 3
 
 
@@ -702,7 +702,15 @@ def _diagram_values(obj, pts):
     return lambda ix, iy, iz: value(pts[ix], pts[iy], pts[iz])
 
 
-def _check_against_reference(ts, dec, samples=0, seed=0):
+def _fixed_samples(M, n, samples):
+    # the sampled mode's points, drawn here independently of the library:
+    # three axes of `samples` tuples each from the one stream random.Random(0)
+    rng = random.Random(0)
+    return [[tuple(rng.randrange(M) for _ in range(n)) for _ in range(samples)]
+            for _ in range(3)]
+
+
+def _check_against_reference(ts, dec, samples=0):
     # ts and dec hold the same multiset of terms, so one reference pass
     # serves both: equal values at every point, equal verify verdicts and
     # witnesses, exhaustive and (if asked) sampled
@@ -720,13 +728,13 @@ def _check_against_reference(ts, dec, samples=0, seed=0):
     assert verify_expansion(ts) == expected
     assert verify_decomposition(dec) == expected
     if samples:
-        xs, ys, zs = tensor._sampled_tuples(M, ts.n, samples, seed)
+        xs, ys, zs = _fixed_samples(M, ts.n, samples)
         ref = _ref_values(ts, xs, ys, zs)
         bad = [i for i in range(samples) if not _ref_ok(ts, ref(i, i, i), xs[i], ys[i], zs[i])]
         # the verdict is the exhaustive one; the samples only name the witness
         first = (xs[bad[0]], ys[bad[0]], zs[bad[0]]) if bad else None
         expected = (witness is None, first)
-        kwargs = dict(mode="sampled", samples=samples, seed=seed)
+        kwargs = dict(mode="sampled", samples=samples)
         assert verify_expansion(ts, **kwargs) == expected
         assert verify_decomposition(dec, **kwargs) == expected
 
@@ -759,14 +767,15 @@ def term_tables(draw):
     terms = tuple(draw(st.permutations(pool)))
     ts = TermSum(setting, n, D, 1 if D is None else D**n, terms)
     axes = draw(st.lists(st.integers(0, 2), min_size=len(terms), max_size=len(terms)))
-    return ts, _as_slices(ts, axes), draw(st.integers(0, 3))
+    return ts, _as_slices(ts, axes), draw(st.integers(1, 25))
 
 
 @settings(max_examples=40, deadline=None)
 @given(term_tables())
 def test_diagram_matches_flat_reference_on_random_tables(table):
-    ts, dec, seed = table
-    _check_against_reference(ts, dec, samples=25, seed=seed)
+    # the sample count picks which points of the fixed stream are scanned
+    ts, dec, samples = table
+    _check_against_reference(ts, dec, samples)
 
 
 @pytest.mark.parametrize(
@@ -1063,7 +1072,7 @@ def test_term_order_leaves_the_diagram_and_verdicts_unchanged(instance, seed):
     ts, slices = instance
     rng = random.Random(seed)
     M = 2 if ts.D is None else ts.D
-    modes = [dict(mode="sampled", samples=40, seed=seed)]
+    modes = [dict(mode="sampled", samples=1 + seed % 40)]
     if M ** (3 * ts.n) <= 4096:
         modes.append(dict(mode="exhaustive"))
     dec = _outcome(decompose, ts)
@@ -1126,8 +1135,8 @@ def _wrong_at_all_ones(n):
 def test_sampled_verification_fails_a_sum_no_sample_shows_wrong():
     broken_terms, broken_slices = _wrong_at_all_ones(4)
     ones = ((1,) * 4,) * 3
-    sampled = dict(mode="sampled", samples=200, seed=0)
-    xs, ys, zs = tensor._sampled_tuples(2, 4, 200, 0)
+    sampled = dict(mode="sampled", samples=200)
+    xs, ys, zs = _fixed_samples(2, 4, 200)
     assert ones not in zip(xs, ys, zs)
     assert verify_expansion(broken_terms, **sampled) == (False, None)
     assert verify_decomposition(broken_slices, **sampled) == (False, None)
