@@ -18,6 +18,11 @@ its check, a layer is not a capset);
 2 = usage or resource error.  Every artifact is written before anything is
 printed, so a failed write leaves stdout empty.  Sampled points come from
 one fixed stream, so a rerun with identical flags is byte-identical.
+
+An artifact path that names an existing regular file is overwritten in place
+and then cut to the new length, so a rewrite leaves exactly the bytes of a
+fresh write; a pipe or device is written as a stream.  A write that fails
+part-way (exit 2) can leave old bytes after the new ones.
 """
 
 from __future__ import annotations
@@ -26,7 +31,10 @@ import argparse
 import csv
 import functools
 import gc
+import io
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -47,8 +55,23 @@ from .setsys import (
 )
 
 
+def _write_artifact(path: str, text: str) -> None:
+    """Write the ASCII `text` to `path`, the one way the CLI writes a file.
+
+    The file is opened without O_TRUNC and cut to the new length after the
+    write: on ext4, truncating a file with data to zero makes close() force
+    the new data out, which makes a rewrite cost several times a fresh
+    write.  Only a regular file is cut, so a pipe or a device such as
+    /dev/null is written as a stream."""
+    data = text.encode("ascii")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def _write_json(path: str, data) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _write_artifact(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _load_family(path: str, D: int | None):
@@ -83,7 +106,7 @@ def cmd_certify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        Path(args.json).write_text(cert.to_json())
+        _write_artifact(args.json, cert.to_json())
     print(f"setting: {family.setting}  n={family.n}" + (f"  D={family.D}" if family.D else ""))
     print(f"members: {len(family)}")
     # T restricted to a sunflower-free family is diagonal (certify_family)
@@ -102,10 +125,11 @@ def cmd_bounds(args) -> int:
     reports = bounds_mod.bound_table(args.n, args.D, C)
     rows = [bounds_mod.report_row(r) for r in reports]
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(bounds_mod.CSV_HEADER)
-            writer.writerows(rows)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(bounds_mod.CSV_HEADER)
+        writer.writerows(rows)
+        _write_artifact(args.csv, buf.getvalue())
     widths = [max(len(h), max((len(r[i]) for r in rows), default=0))
               for i, h in enumerate(bounds_mod.CSV_HEADER)]
     header = "  ".join(h.ljust(w) for h, w in zip(bounds_mod.CSV_HEADER, widths))
@@ -182,7 +206,7 @@ def cmd_search(args) -> int:
     if args.json:
         _write_json(args.json, result.to_json_dict())
     if args.witness_out:
-        Path(args.witness_out).write_text(witness_text)
+        _write_artifact(args.witness_out, witness_text)
     print(f"max: {result.max_size}")
     print(f"optimal: {str(result.optimal).lower()}")
     print(f"nodes: {result.nodes}")

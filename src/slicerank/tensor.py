@@ -309,10 +309,11 @@ def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
 # coefficients divided by their gcd (signed by the first edge), so sub-sums
 # equal up to a scalar are stored once.  The top ceil(n/2) coordinates are
 # read as one block: the terms are grouped by their low coordinates, each
-# group's block (its top labels and coefficients) is sorted, and only the
-# distinct blocks are interned through the top levels.  T's blocks are
-# scalar multiples of its top half, so the expansion and its slices have a
-# handful, while every low prefix still takes its block's node.
+# group's block (its top labels and coefficients) is sorted the first time
+# its entries are met in that order, and only the distinct sorted blocks are
+# interned through the top levels.  T's blocks are scalar multiples of its
+# top half, so the expansion and its slices have a handful, while every low
+# prefix still takes its block's node.
 #
 # Monomials on {0,1}^(3n) and characters of (Z/D)^(3n) are bases, so a term
 # sum equals T iff its merged coefficient table is T's.  T's table merges to
@@ -401,7 +402,8 @@ def _diagram(obj):
     by their low n - h coordinate labels, and only the distinct blocks
     (each sorted, so equal blocks are found whatever the term order) are
     interned through levels n-1 .. n-h; each low prefix then takes its
-    block's (factor, node).  Nodes are numbered in the order their blocks,
+    block's (factor, node).  A group whose raw entries repeat an earlier
+    group's, in the same order, takes that group's block without a sort.  Nodes are numbered in the order their blocks,
     then their low prefixes, are first met.
     """
     n, M = obj.n, _alphabet(obj)
@@ -444,12 +446,18 @@ def _diagram(obj):
         # the one empty prefix: its entries are the constant terms
         return sum(groups.get(0, ())), []
     # each low prefix's block id; the expansion's blocks are scalar multiples
-    # of T's top half, a few distinct ones
+    # of T's top half, a few distinct ones, and most groups repeat another's
+    # entries in the same order, so a group is sorted only when its raw
+    # entries are new
     blocks: dict[tuple[int, ...], int] = {}
+    raw: dict[tuple[int, ...], int] = {}
     low = {}
     for prefix, group in groups.items():
-        group.sort()
-        low[prefix] = blocks.setdefault(tuple(group), len(blocks))
+        group = tuple(group)
+        try:
+            low[prefix] = raw[group]
+        except KeyError:
+            low[prefix] = raw[group] = blocks.setdefault(tuple(sorted(group)), len(blocks))
     # the blocks' prefixes put the block id below the coordinate labels
     B, Q = len(blocks), Lh // L
     groups = defaultdict(list)

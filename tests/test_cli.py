@@ -3,6 +3,7 @@ import gc
 import importlib.util
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -586,3 +587,92 @@ def test_encode_flags_noncapset_layer(family_file, capsys):
     assert lines
     if code == 1:
         assert any("capset: false" in l for l in lines)
+
+
+# --- artifacts -------------------------------------------------------------------
+
+# every flag that writes a file: (argv before the path, family text or None)
+ARTIFACT_CALLS = [
+    (["certify", "{family}", "--json"], "00\n10\n11\n"),
+    (["encode", "{family}", "--json"], "1011\n0100\n"),
+    (["search", "--setting", "binary", "--n", "2", "--json"], None),
+    (["search", "--setting", "binary", "--n", "3", "--witness-out"], None),
+    (["bounds", "--n", "2", "--D", "3", "--csv"], None),
+]
+
+
+def _artifact_argv(family_file, argv, text):
+    family = family_file("f.txt", text) if text else None
+    return [family if a == "{family}" else a for a in argv]
+
+
+@pytest.mark.parametrize("argv,text", ARTIFACT_CALLS)
+def test_rewriting_an_artifact_leaves_the_bytes_of_a_fresh_write(family_file, capsys, tmp_path,
+                                                                 argv, text):
+    argv = _artifact_argv(family_file, argv, text)
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    code, out, err = run(capsys, *argv, str(fresh))
+    assert code == 0 and err == ""
+    expected = fresh.read_bytes()
+    # a longer file is cut to the new length; a rerun rewrites it unchanged
+    old.write_bytes(b"x" * (len(expected) + 100))
+    assert run(capsys, *argv, str(old)) == (0, out, "")
+    assert old.read_bytes() == expected
+    assert run(capsys, *argv, str(old)) == (0, out, "")
+    assert old.read_bytes() == expected
+    if argv[0] == "bounds":
+        lines = expected.split(b"\n")
+        assert lines[-1] == b"" and all(line.endswith(b"\r") for line in lines[:-1])
+
+
+@pytest.mark.parametrize("argv,text", ARTIFACT_CALLS)
+def test_artifact_paths_keep_links_and_stream_to_devices(family_file, capsys, tmp_path,
+                                                          argv, text):
+    argv = _artifact_argv(family_file, argv, text)
+    fresh, target, link = tmp_path / "fresh", tmp_path / "target", tmp_path / "link"
+    code, out, _ = run(capsys, *argv, str(fresh))
+    assert code == 0
+    target.write_bytes(b"x" * (fresh.stat().st_size + 100))
+    link.symlink_to(target)
+    assert run(capsys, *argv, str(link)) == (0, out, "")
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+    assert run(capsys, *argv, os.devnull) == (0, out, "")
+    # a pipe cannot be cut: it takes the bytes as a stream
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, *argv, str(fifo)) == (0, out, "")
+        assert os.read(reader, 1 << 16) == fresh.read_bytes()
+    finally:
+        os.close(reader)
+
+
+@pytest.mark.parametrize("argv,text", ARTIFACT_CALLS)
+def test_an_unwritable_artifact_path_is_an_error_line(family_file, capsys, tmp_path, argv, text):
+    argv = _artifact_argv(family_file, argv, text)
+    missing = tmp_path / "no-dir" / "artifact"
+    assert run(capsys, *argv, str(missing)) == (
+        2, "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+    assert run(capsys, *argv, str(tmp_path)) == (
+        2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+@pytest.mark.parametrize("argv,text", ARTIFACT_CALLS)
+def test_an_existing_artifact_is_not_truncated_on_open(family_file, capsys, tmp_path, monkeypatch,
+                                                       argv, text):
+    # truncating a file with data to zero makes ext4 force the new data out
+    # at close; the writer opens without O_TRUNC and cuts the file after
+    argv = _artifact_argv(family_file, argv, text)
+    path = str(tmp_path / "artifact")
+    opened = []
+    real_open = os.open
+
+    def spy(file, flags, *args, **kwargs):
+        opened.append((os.fspath(file), flags))
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert run(capsys, *argv, path)[0] == 0
+    flags = [f for file, f in opened if file == path]
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC

@@ -1088,6 +1088,31 @@ def test_term_order_leaves_the_diagram_and_verdicts_unchanged(instance, seed):
 
 
 @pytest.mark.parametrize(
+    "setting,n,D", [(BINARY, 6, None), (BINARY, 8, None), (MOD, 4, 3), (MOD, 3, 4)]
+)
+def test_groups_in_fresh_orders_build_the_same_diagram(setting, n, D):
+    # the expansion lists each low prefix's terms in one run, and most runs
+    # repeat an earlier run's top labels and coefficients in the same order;
+    # shuffled within their runs, no two groups' raw entries are equal, so
+    # every block is sorted afresh, while the low prefixes and the blocks are
+    # met in the same order and the nodes keep their numbers
+    ts = expand_tensor(setting, n, D)
+    Ml = (2 if D is None else D) ** (n - (n + 1) // 2)
+
+    def low(term):
+        return tuple(f % Ml for f in term[1:])
+
+    rng = random.Random(n)
+    runs = [list(run) for _, run in itertools.groupby(ts.terms, low)]
+    runs = [rng.sample(run, len(run)) for run in runs]
+    assert len({low(run[0]) for run in runs}) == len(runs)
+    raw = {tuple((num, fx // Ml, fy // Ml, fz // Ml) for num, fx, fy, fz in run) for run in runs}
+    assert len(raw) == len(runs)
+    shuffled = TermSum(setting, n, D, ts.denominator, tuple(t for run in runs for t in run))
+    assert tensor._diagram(shuffled) == tensor._diagram(ts)
+
+
+@pytest.mark.parametrize(
     "setting,n,D", [(BINARY, n, None) for n in range(0, 9)]
     + [(MOD, n, D) for D in (3, 4, 5) for n in range(0, 4)],
 )
