@@ -1131,7 +1131,14 @@ def test_packed_build_matches_the_reference_on_expansions(setting, n, D):
     [(BINARY, 3, None, (1, 7, 7, 7)), (BINARY, 3, None, (1, 0, 0, 8)),
      (BINARY, 3, None, (1, 0, -1, 0)), (BINARY, 0, None, (2, 0, 0, 1)),
      (MOD, 2, 3, (1, 8, 8, 8)), (MOD, 2, 3, (1, 0, 0, 9)), (MOD, 2, 3, (1, -1, 0, 0)),
-     (MOD, 2, 4, (1, 0, 16, 0)), (MOD, 2, 5, (1, 24, 24, 24)), (MOD, 0, 3, (1, 0, 0, -3))],
+     (MOD, 2, 4, (1, 0, 16, 0)), (MOD, 2, 5, (1, 24, 24, 24)), (MOD, 0, 3, (1, 0, 0, -3)),
+     # a factor at or past M^n on the z axis, behind an x factor within the
+     # threshold, so no slice needs the z factor's measure
+     (MOD, 2, 4, (1, 0, 0, 16)), (MOD, 2, 4, (1, 0, 3, 17)), (MOD, 2, 5, (1, 0, 0, 25)),
+     (MOD, 3, 5, (1, 1, 0, 125)), (MOD, 2, 5, (1, 0, 4, 49)),
+     # negative y and z factors
+     (BINARY, 3, None, (1, 0, 0, -1)), (BINARY, 3, None, (1, 7, -8, 0)),
+     (MOD, 2, 4, (1, 0, -1, 0)), (MOD, 2, 5, (1, 0, 0, -25)), (MOD, 2, 5, (1, 24, 24, -1))],
 )
 def test_bad_terms_raise_the_reference_messages(setting, n, D, term):
     ts = TermSum(setting, n, D, 1 if D is None else D**n, ((2, 0, 0, 0), term))
@@ -1143,6 +1150,40 @@ def test_bad_terms_raise_the_reference_messages(setting, n, D, term):
     for obj in [ts] + [_as_slices(ts, [axis] * 2) for axis in range(3)]:
         assert (_canonical(obj, _outcome(tensor._diagram, obj))
                 == _canonical(obj, _outcome(_reference_diagram, obj)))
+
+
+@pytest.mark.parametrize("setting,n,D", [(BINARY, 3, None), (MOD, 2, 5)])
+def test_a_float_factor_is_a_type_error(setting, n, D):
+    ts = expand_tensor(setting, n, D)
+    bad = TermSum(setting, n, D, ts.denominator, ts.terms + ((1, 1.0, 0, 0),))
+    with pytest.raises(TypeError):
+        decompose(bad)
+    for terms in ([(1, 1.0, 0, 0)], [(1, 0, 2.0, 0)], [(1, 0, 0, 3.0)]):
+        broken = TermSum(setting, n, D, ts.denominator, ts.terms + tuple(terms))
+        with pytest.raises(TypeError):
+            tensor._diagram(broken)
+        # as a slice's factor and as a residual factor
+        for axes in ([0] * len(ts.terms) + [0], [1] * len(ts.terms) + [2]):
+            with pytest.raises(TypeError):
+                tensor._diagram(_as_slices(broken, axes))
+
+
+@pytest.mark.parametrize("setting,n,D", [(BINARY, 6, None), (MOD, 4, 3)])
+def test_shuffled_slice_rows_build_the_same_diagram(setting, n, D):
+    # within each slice the rows come in a fresh order, so a low prefix's
+    # rows arrive in short runs and its block is met in pieces; the slices
+    # keep their order
+    dec = decompose(expand_tensor(setting, n, D))
+    rng = random.Random(n)
+    shuffled = SliceDecomposition(setting, n, D, dec.denominator, tuple(
+        Slice(sl.axis, sl.factor, tuple(rng.sample(sl.residual, len(sl.residual))))
+        for sl in dec.slices
+    ))
+    assert shuffled != dec
+    want = tensor._diagram(dec)
+    assert _canonical(dec, tensor._diagram(shuffled)) == _canonical(dec, want)
+    assert tensor._is_product(shuffled, tensor._diagram(shuffled))
+    assert verify_decomposition(shuffled, mode="sampled", samples=20) == (True, None)
 
 
 def _wrong_at_all_ones(n):
