@@ -8,16 +8,20 @@ row is one in-process `cli.main(["verify-tensor", ...])` call, end to end
 timed with `time.perf_counter`; terms and slices are read from its output.
 The four stage columns time the `tensor` calls the CLI makes inside that
 call (expand_tensor, verify_expansion, decompose, verify_decomposition), in
-milliseconds; `seconds` is the whole call.
+milliseconds; `seconds` is the whole call.  With `--repeats N` each
+instance is run N times in a row and every timed column is the median of
+its N values.
 
 Example:
     python scripts/verify_scaling.py
+    python scripts/verify_scaling.py --repeats 3
     python scripts/verify_scaling.py --instances binary:6 mod-3:4
 """
 
 import argparse
 import contextlib
 import io
+import statistics
 import sys
 import time
 
@@ -61,33 +65,46 @@ def parse_instance(spec: str) -> tuple[str, int, int | None]:
     return MOD, int(n), int(name.removeprefix("mod-"))
 
 
+def run_once(spec: str) -> tuple[dict[str, str], dict[str, float], float]:
+    """One timed verify-tensor call: its output lines by field, the stage
+    milliseconds and the whole call's seconds."""
+    setting, n, D = parse_instance(spec)
+    argv = ["verify-tensor", "--setting", setting, "--n", str(n)]
+    if D is not None:
+        argv += ["--D", str(D)]
+    out = io.StringIO()
+    ms: dict[str, float] = {}
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), timed_stages(ms):
+        code = cli.main(argv)
+    seconds = time.perf_counter() - start
+    if code != 0:
+        sys.exit(f"{spec}: exit {code}\n{out.getvalue()}")
+    return dict(line.split(": ", 1) for line in out.getvalue().splitlines()), ms, seconds
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--instances", nargs="+", default=DEFAULT_INSTANCES,
                         help="binary:N or mod-D:N, e.g. binary:10 mod-4:6")
+    parser.add_argument("--repeats", type=int, default=1,
+                        help="runs per instance; the timed columns are their medians")
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
 
     print("setting n D terms slices expand_ms verify_expansion_ms decompose_ms"
           " verify_decomposition_ms seconds")
     for spec in args.instances:
         setting, n, D = parse_instance(spec)
-        argv = ["verify-tensor", "--setting", setting, "--n", str(n)]
-        if D is not None:
-            argv += ["--D", str(D)]
-        out = io.StringIO()
-        ms: dict[str, float] = {}
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(out), timed_stages(ms):
-            code = cli.main(argv)
-        seconds = time.perf_counter() - start
-        if code != 0:
-            sys.exit(f"{spec}: exit {code}\n{out.getvalue()}")
-        lines = dict(line.split(": ", 1) for line in out.getvalue().splitlines())
-        stages = " ".join(f"{ms[name]:.1f}" for name in STAGES)
+        runs = [run_once(spec) for _ in range(args.repeats)]
+        lines = runs[0][0]
+        stages = " ".join(f"{statistics.median(ms[name] for _, ms, _ in runs):.1f}"
+                          for name in STAGES)
+        seconds = statistics.median(s for _, _, s in runs)
         print(f"{setting} {n} {D if D is not None else '-'} {lines['terms']}"
               f" {lines['slices'].split()[0]} {stages} {seconds:.3f}")
-
 
 if __name__ == "__main__":
     main()

@@ -300,8 +300,11 @@ def find_sunflower(family: Family):
     triples."""
     members = family.members
     N = len(members)
+    if N < 3:
+        # no triple, so no masks or tables either
+        return None
     masks = value_masks(members, family.n)
-    rows = max(1, _PAIR_BITS // max(N, 1))
+    rows = max(1, _PAIR_BITS // N)
     # the members a still scanned are those below `top`: a < b < c needs
     # a < N - 2, and once a triple is found only a lower a can beat it
     top = N - 2

@@ -234,29 +234,38 @@ def decompose(ts: TermSum) -> SliceDecomposition:
     x,y,z order whose factor measure (degree / nontrivial-character count)
     is at most n/3 resp. 2n/3 -- one always exists since the measures sum to
     at most n resp. 2n.  Slices come by axis, then factor; a slice's rows
-    keep the order their terms have in ts.terms."""
+    keep the order their terms have in ts.terms.
+
+    A term's factors are checked by one sign test and by their three
+    `within` lookups, which fail past range(M^n).  The terms themselves are
+    grouped, and each slice's rows are made together afterwards, so they
+    lie together in memory for the diagram that reads them."""
     threshold, limit, within = _slicing(ts)
-    gx, gy, gz = groups = (defaultdict(list), defaultdict(list), defaultdict(list))
-    for term in ts.terms:
-        num, fx, fy, fz = term
-        if not (0 <= fx < limit and 0 <= fy < limit and 0 <= fz < limit):
-            raise _term_error(term, threshold, limit)
-        if within[fx]:
-            group, factor, row = gx, fx, (num, fy, fz)
-        elif within[fy]:
-            group, factor, row = gy, fy, (num, fx, fz)
-        elif within[fz]:
-            group, factor, row = gz, fz, (num, fx, fy)
-        else:
-            raise _term_error(term, threshold, limit)
-        group[factor].append(row)
-    # popping frees each row list as soon as its tuple is made
-    slices = tuple(
-        Slice(axis, factor, tuple(group.pop(factor)))
-        for axis, group in enumerate(groups)
-        for factor in sorted(group)
-    )
-    return SliceDecomposition(ts.setting, ts.n, ts.D, ts.denominator, slices)
+    gx, gy, gz = (defaultdict(list), defaultdict(list), defaultdict(list))
+    try:
+        for term in ts.terms:
+            _, fx, fy, fz = term
+            if fx | fy | fz < 0:
+                raise _term_error(term, threshold, limit)
+            wx, wy, wz = within[fx], within[fy], within[fz]
+            if wx:
+                gx[fx].append(term)
+            elif wy:
+                gy[fy].append(term)
+            elif wz:
+                gz[fz].append(term)
+            else:
+                raise _term_error(term, threshold, limit)
+    except IndexError:
+        raise _term_error(term, threshold, limit) from None
+    # popping frees each term list as soon as its rows are made
+    slices = [Slice(0, f, tuple([(num, fy, fz) for num, _, fy, fz in gx.pop(f)]))
+              for f in sorted(gx)]
+    slices += [Slice(1, f, tuple([(num, fx, fz) for num, fx, _, fz in gy.pop(f)]))
+               for f in sorted(gy)]
+    slices += [Slice(2, f, tuple([(num, fx, fy) for num, fx, fy, _ in gz.pop(f)]))
+               for f in sorted(gz)]
+    return SliceDecomposition(ts.setting, ts.n, ts.D, ts.denominator, tuple(slices))
 
 
 def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
@@ -305,15 +314,21 @@ def decomposition_size(setting: str, n: int, D: int | None = None) -> int:
 # a coordinate diagram in the style of Bryant's decision diagrams: a level-k
 # node is a tuple of edges (label, coef, child), where label packs the
 # coordinate-k digits of the three factors and the child is a level-(k+1)
-# node over the remaining coordinates.  Nodes are built bottom-up and hash-consed with their
-# coefficients divided by their gcd (signed by the first edge), so sub-sums
-# equal up to a scalar are stored once.  The top ceil(n/2) coordinates are
-# read as one block: the terms are grouped by their low coordinates, each
-# group's block (its top labels and coefficients) is sorted the first time
-# its entries are met in that order, and only the distinct sorted blocks are
-# interned through the top levels.  T's blocks are scalar multiples of its
-# top half, so the expansion and its slices have a handful, while every low
-# prefix still takes its block's node.
+# node over the remaining coordinates.  Nodes are built bottom-up and
+# hash-consed with their coefficients divided by their gcd (signed by the
+# first edge), so sub-sums equal up to a scalar are stored once.  The top
+# ceil(n/2) coordinates are read as one block: the terms are grouped by their
+# low coordinates, each group's block (its top labels and coefficients) is
+# sorted the first time its entries are met in that order, and only the
+# distinct sorted blocks are interned through the top levels.  T's blocks
+# are scalar multiples of its top half, so the expansion and its slices have
+# a handful, while every low prefix still takes its block's node.
+#
+# Reading the terms is most of a build, so a term is read with table lookups
+# and additions only: per axis one table spreads a factor's low digits into
+# the group key and one its top digits into the block entry.  The expansion
+# lists each low prefix's terms in one run, and a slice's rows come in runs
+# of one prefix too, so a run appends to the list its first term looked up.
 #
 # Monomials on {0,1}^(3n) and characters of (Z/D)^(3n) are bases, so a term
 # sum equals T iff its merged coefficient table is T's.  T's table merges to
@@ -403,43 +418,60 @@ def _diagram(obj):
     (each sorted, so equal blocks are found whatever the term order) are
     interned through levels n-1 .. n-h; each low prefix then takes its
     block's (factor, node).  A group whose raw entries repeat an earlier
-    group's, in the same order, takes that group's block without a sort.  Nodes are numbered in the order their blocks,
-    then their low prefixes, are first met.
+    group's, in the same order, takes that group's block without a sort.
+    Nodes are numbered in the order their blocks, then their low prefixes,
+    are first met.
+
+    A term's key and entry are sums of lookups in per-axis low and top
+    tables, with no division; a factor outside range(M^n) fails the sign
+    test or a lookup and is a ValueError, a non-int factor a TypeError.
     """
     n, M = obj.n, _alphabet(obj)
     L = M**3
     h = (n + 1) // 2
     outside = f"a term factor lies outside the domain of n={n}"
     # the spread factors of a term add up to one int whose digit i in base
-    # L is the coordinate-i label dx + M dy + M^2 dz; reading a term splits
-    # off the block's labels at once, packed with the coefficient, and the
-    # rest is the low prefix the block is grouped by
-    sx = _spread(n, M)
-    sy = [M * s for s in sx]
-    sz = [M * M * s for s in sx]
-    P, Lh = L ** (n - h), L**h
+    # L is the coordinate-i label dx + M dy + M^2 dz.  No digit carries, so
+    # each axis's table splits at P = L^(n-h): the low table spreads a
+    # factor's low n-h digits, the key the term is grouped by, and the top
+    # table its top h digits, the block's labels, packed with the coefficient
+    P, Lh, Ml = L ** (n - h), L**h, M ** (n - h)
+    xl = _spread(n - h, M) * M**h
+    xh = [s for s in _spread(h, M) for _ in range(Ml)]
+    tables = [(xl, xh), ([M * s for s in xl], [M * s for s in xh]),
+              ([M * M * s for s in xl], [M * M * s for s in xh])]
     groups = defaultdict(list)
+    # a run of terms under one key appends to the list the run's first
+    # term looked up
+    last = None
     try:
         if isinstance(obj, TermSum):
+            (xl, xh), (yl, yh), (zl, zh) = tables
             for num, fx, fy, fz in obj.terms:
                 if fx | fy | fz < 0:
                     raise ValueError(outside)
-                pack = sx[fx] + sy[fy] + sz[fz]
-                groups[pack % P].append(pack // P + Lh * num)
+                key = xl[fx] + yl[fy] + zl[fz]
+                if key != last:
+                    last = key
+                    append = groups[key].append
+                append(xh[fx] + yh[fy] + zh[fz] + Lh * num)
         else:
-            # a slice adds its factor's spread once, to each residual term
-            tables = (sx, sy, sz)
+            # a slice adds its factor's spreads once, to each residual term
             for sl in obj.slices:
                 a, b = _OTHER_AXES[sl.axis]
-                ta, tb = tables[a], tables[b]
+                (al, ah), (bl, bh) = tables[a], tables[b]
                 if sl.factor < 0:
                     raise ValueError(outside)
-                base = tables[sl.axis][sl.factor]
+                fl, fh = tables[sl.axis]
+                base_l, base_h = fl[sl.factor], fh[sl.factor]
                 for num, fa, fb in sl.residual:
                     if fa | fb < 0:
                         raise ValueError(outside)
-                    pack = base + ta[fa] + tb[fb]
-                    groups[pack % P].append(pack // P + Lh * num)
+                    key = base_l + al[fa] + bl[fb]
+                    if key != last:
+                        last = key
+                        append = groups[key].append
+                    append(base_h + ah[fa] + bh[fb] + Lh * num)
     except IndexError:
         raise ValueError(outside) from None
     if not n:

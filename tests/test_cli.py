@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from slicerank import bounds as bounds_mod
+from slicerank import setsys
 from slicerank import tensor as tensor_mod
 from slicerank.bounds import mod_count_bound
 from slicerank.cli import main
@@ -60,6 +61,25 @@ def test_detect_mod_family(family_file, capsys):
     path = family_file("mod.txt", "0,1\n1,1\n# comment\n")
     code, out, _ = run(capsys, "detect", path)
     assert code == 0
+
+
+@pytest.mark.parametrize("D,lines", [(None, []), (None, ["101"]), (None, ["101", "011"]),
+                                     (3, []), (3, ["0,2"]), (3, ["0,2", "1,1"])])
+def test_families_of_fewer_than_three_members_build_no_masks(
+        family_file, capsys, monkeypatch, D, lines):
+    # no triple exists, so find_sunflower answers before indexing the members
+    def no_masks(*args):
+        raise AssertionError("value_masks called")
+
+    monkeypatch.setattr(setsys, "value_masks", no_masks)
+    path = family_file("small.txt", "".join(line + "\n" for line in lines))
+    d = [] if D is None else ["--D", str(D)]
+    code, out, _ = run(capsys, "detect", path, *d)
+    assert code == 0 and out.startswith(f"sunflower-free: true ({len(lines)} members")
+    code, out, _ = run(capsys, "certify", path, *d)
+    assert code == 0 and f"members: {len(lines)}\n" in out
+    if D == 3:
+        assert setsys.is_capset(setsys.parse_family("".join(l + "\n" for l in lines), D=3))
 
 
 def test_detect_malformed_file(family_file, capsys):

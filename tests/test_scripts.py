@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under scripts/, run as a user would run them."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -112,10 +113,11 @@ def test_search_scaling_times_each_instance():
     assert all(float(row[6]) >= 0 for row in rows)
 
 
-def test_verify_scaling_times_each_instance():
+def _check_verify_scaling_rows(*extra):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "scripts/verify_scaling.py", "--instances", "binary:3", "mod-3:2"],
+        [sys.executable, "scripts/verify_scaling.py", "--instances", "binary:3", "mod-3:2",
+         *extra],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -127,6 +129,29 @@ def test_verify_scaling_times_each_instance():
         ["mod-d", "2", "3", str(6**2), str(decomposition_size(MOD, 2, 3))],
     ]
     for row in rows:
-        # the stages run inside the timed call
+        # the stages run inside the timed call; the median of two runs is
+        # their mean, so the medians keep that order
         stages = [float(cell) for cell in row[5:9]]
         assert min(stages) >= 0 and sum(stages) <= float(row[9]) * 1e3 + 0.5
+
+
+def test_verify_scaling_times_each_instance():
+    _check_verify_scaling_rows()
+
+
+def test_verify_scaling_repeats_each_instance():
+    _check_verify_scaling_rows("--repeats", "2")
+
+
+def test_verify_scaling_prints_the_median_of_the_repeats(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("verify_scaling", ROOT / "scripts" / "verify_scaling.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = {"terms": "64", "slices": "8 (closed-form bound 48)"}
+    runs = iter([(lines, dict.fromkeys(script.STAGES, ms), seconds)
+                 for ms, seconds in [(4.0, 0.5), (1.0, 0.25), (2.0, 3.0)]])
+    monkeypatch.setattr(script, "run_once", lambda spec: next(runs))
+    monkeypatch.setattr(sys, "argv", ["verify_scaling.py", "--instances", "binary:3",
+                                      "--repeats", "3"])
+    script.main()
+    assert capsys.readouterr().out.splitlines()[1] == "binary 3 - 64 8 2.0 2.0 2.0 2.0 0.500"

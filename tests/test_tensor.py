@@ -1154,12 +1154,13 @@ def test_bad_terms_raise_the_reference_messages(setting, n, D, term):
 
 @pytest.mark.parametrize("setting,n,D", [(BINARY, 3, None), (MOD, 2, 5)])
 def test_a_float_factor_is_a_type_error(setting, n, D):
+    # a float factor on any axis, also behind an x factor within the
+    # threshold, which no slice choice needs to look up
     ts = expand_tensor(setting, n, D)
-    bad = TermSum(setting, n, D, ts.denominator, ts.terms + ((1, 1.0, 0, 0),))
-    with pytest.raises(TypeError):
-        decompose(bad)
     for terms in ([(1, 1.0, 0, 0)], [(1, 0, 2.0, 0)], [(1, 0, 0, 3.0)]):
         broken = TermSum(setting, n, D, ts.denominator, ts.terms + tuple(terms))
+        with pytest.raises(TypeError):
+            decompose(broken)
         with pytest.raises(TypeError):
             tensor._diagram(broken)
         # as a slice's factor and as a residual factor
