@@ -106,5 +106,6 @@ def main() -> None:
         print(f"{setting} {n} {D if D is not None else '-'} {lines['terms']}"
               f" {lines['slices'].split()[0]} {stages} {seconds:.3f}")
 
+
 if __name__ == "__main__":
     main()
