@@ -37,7 +37,6 @@ import os
 import stat
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import search as search_mod
@@ -75,7 +74,8 @@ def _write_json(path: str, data) -> None:
 
 
 def _load_family(path: str, D: int | None):
-    return parse_family(Path(path).read_text(), D=D)
+    with open(path) as fh:
+        return parse_family(fh.read(), D=D)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -245,8 +245,9 @@ def cmd_encode(args) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
-@functools.cache  # parsing leaves the parser as it was, so every call can share it
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # parsing leaves the parsers as they were, so every call can share them
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="slicerank",
         description="exact slice-rank certificates, bounds, and search for sunflower-free families",
@@ -294,12 +295,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_encode)
 
-    return parser
+    # the subparsers action's choices: each subcommand's parser by name
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The parsed argv.  The top-level parser hands everything after a
+    known subcommand to that subcommand's parser, so that parser reads it
+    directly, in one pass.  A leftover argument, or a missing or unknown
+    subcommand, is parsed by the top-level parser, so the usage error is
+    the one it prints."""
+    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except FamilyFormatError as exc:

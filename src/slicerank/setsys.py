@@ -14,15 +14,17 @@ once the first two are fixed, so the family-level searches run over pairs:
 `value_masks` indexes the members by digit, and `completions` turns a pair
 into the bitmask of the members that complete a forbidden triple with it.
 `completions` is the only place the rule is stated.  The search calls it per
-pair; the whole-family scan `find_sunflower` calls it once per coordinate
-and digit pair, to build pair tables whose AND holds, for one member a,
-every completing pair (b, c) at once, so a member costs n big-int ANDs a
-window rather than |F| calls.
+pair; so does the whole-family scan `find_sunflower` on a small family.
+On a larger one it calls it once per coordinate and digit pair, to build
+pair tables whose AND holds, for one member a, every completing pair
+(b, c) at once, so a member costs n big-int ANDs a window rather than |F|
+calls.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,16 +63,28 @@ class Family:
             raise ValueError("binary families carry no alphabet size")
         if self.setting == MOD and (self.D is None or self.D < 2):
             raise ValueError("mod-D families need D >= 2")
+        members = tuple(self.members)  # any iterable, read more than once below
         digits = range(2 if self.setting == BINARY else self.D)
-        seen = set()
-        for m in self.members:
-            if type(m) is not tuple or len(m) != self.n:
-                raise ValueError(f"member {m!r} is not a tuple of n={self.n} coordinates")
-            if not all(map(digits.__contains__, m)):
-                raise ValueError(f"member {m} has a coordinate outside {digits}")
-            if m in seen:
-                raise ValueError(f"duplicate member {m}")
-            seen.add(m)
+        # checked in bulk; the loop runs only when some member is at fault,
+        # to name the first one
+        try:
+            seen = set(members)
+            ok = (len(seen) == len(members)
+                  and set(map(type, members)) <= {tuple}
+                  and set(map(len, members)) <= {self.n}
+                  and all(map(digits.__contains__, set(itertools.chain.from_iterable(members)))))
+        except TypeError:  # an unhashable member or coordinate
+            ok = False
+        if not ok:
+            seen = set()
+            for m in members:
+                if type(m) is not tuple or len(m) != self.n:
+                    raise ValueError(f"member {m!r} is not a tuple of n={self.n} coordinates")
+                if not all(map(digits.__contains__, m)):
+                    raise ValueError(f"member {m} has a coordinate outside {digits}")
+                if m in seen:
+                    raise ValueError(f"duplicate member {m}")
+                seen.add(m)
         object.__setattr__(self, "members", tuple(sorted(seen)))
 
     def __len__(self) -> int:
@@ -89,11 +103,21 @@ class Family:
         return "".join(self.line(m) + "\n" for m in self.members)
 
 
+# a member line once its comment and surrounding whitespace are cut
+_BINARY_LINE = re.compile("[01]+")
+_MOD_LINE = re.compile("[0-9]+(?:,[0-9]+)*")
+# an ASCII digit's byte to its value
+_DIGIT_BYTES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def parse_family(text: str, D: int | None = None) -> Family:
     """Parse the family text format: one member per line, binary members as
     0/1 strings, mod-D members as comma-separated digits; '#' starts a
-    comment and blank lines are ignored.  Every line must have as many
-    coordinates as the first, and no line may repeat another's member.
+    comment and blank lines are ignored.  Once its comment and surrounding
+    whitespace are cut, a binary line is exactly `[01]+` and a mod-D line
+    exactly `[0-9]+(,[0-9]+)*` (ASCII digits, no signs, spaces or
+    underscores).  Every line must have as many coordinates as the first,
+    and no line may repeat another's member.
 
     The setting is inferred: an explicit D or a comma in some member means
     mod-D (single-coordinate mod-D files therefore need an explicit D),
@@ -101,46 +125,59 @@ def parse_family(text: str, D: int | None = None) -> Family:
     size is taken as max(coordinate) + 1, but never below 3.  Empty text is
     the empty family at n = 0.
     """
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            rows.append((lineno, line))
-    if not rows:
+    rows = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
+    lines = [line for _, line in rows]
+    if not lines:
         return Family(MOD if D is not None else BINARY, 0, D, ())
 
-    setting = MOD if D is not None or any("," in line for _, line in rows) else BINARY
-    parsed = []
-    for lineno, line in rows:
-        if setting == BINARY:
-            if set(line) - {"0", "1"}:
-                raise FamilyFormatError(f"line {lineno}: expected a 0/1 string, got {line!r}")
-            m = tuple(map(int, line))
-        else:
-            try:
-                m = tuple(map(int, line.split(",")))
-            except ValueError:
-                raise FamilyFormatError(
-                    f"line {lineno}: expected comma-separated digits, got {line!r}"
-                ) from None
-            if min(m) < 0:
-                raise FamilyFormatError(f"line {lineno}: negative coordinate")
-        parsed.append((lineno, line, m))
-    if setting == MOD:
+    setting = MOD if D is not None or any("," in line for line in lines) else BINARY
+    if setting == BINARY:
+        if not all(map(_BINARY_LINE.fullmatch, lines)):
+            lineno, line = next(row for row in rows if not _BINARY_LINE.fullmatch(row[1]))
+            raise FamilyFormatError(f"line {lineno}: expected a 0/1 string, got {line!r}")
+        members = [tuple(line.encode().translate(_DIGIT_BYTES)) for line in lines]
+    else:
+        if not all(map(_MOD_LINE.fullmatch, lines)):
+            lineno, line = next(row for row in rows if not _MOD_LINE.fullmatch(row[1]))
+            raise FamilyFormatError(_mod_line_error(lineno, line))
+        members = [tuple(line.encode().translate(_DIGIT_BYTES, b","))
+                   if len(line) == 2 * line.count(",") + 1  # every field one digit
+                   else tuple(map(int, line.split(","))) for line in lines]
         if D is None:
-            D = max(3, 1 + max(max(m) for _, _, m in parsed))
-        for lineno, _, m in parsed:
-            if max(m) >= D:
-                raise FamilyFormatError(f"line {lineno}: coordinate >= D={D}")
-    n = len(parsed[0][2])
-    seen = set()
-    for lineno, line, m in parsed:
-        if len(m) != n:
-            raise FamilyFormatError(f"line {lineno}: expected {n} coordinates, got {len(m)}")
-        if m in seen:
-            raise FamilyFormatError(f"line {lineno}: duplicate member {line}")
-        seen.add(m)
-    return Family(setting, n, D, tuple(seen))
+            D = max(3, 1 + max(map(max, members)))
+    n = len(members[0])
+    try:
+        return Family(setting, n, D, members)
+    except ValueError:
+        # name the line of a member at fault, in the order of the line by
+        # line checks: every line's range first, then each line's length
+        # and novelty
+        if setting == MOD:
+            for (lineno, _), m in zip(rows, members):
+                if max(m) >= D:
+                    raise FamilyFormatError(f"line {lineno}: coordinate >= D={D}") from None
+        seen = set()
+        for (lineno, line), m in zip(rows, members):
+            if len(m) != n:
+                raise FamilyFormatError(
+                    f"line {lineno}: expected {n} coordinates, got {len(m)}") from None
+            if m in seen:
+                raise FamilyFormatError(f"line {lineno}: duplicate member {line}") from None
+            seen.add(m)
+        raise
+
+
+def _mod_line_error(lineno: int, line: str) -> str:
+    # a line that int() also refuses, or reads with a negative field, keeps
+    # the message it had before the line grammar was checked
+    try:
+        negative = min(map(int, line.split(","))) < 0
+    except ValueError:
+        negative = False
+    if negative:
+        return f"line {lineno}: negative coordinate"
+    return f"line {lineno}: expected comma-separated digits, got {line!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +289,9 @@ def triple_is_sunflower(setting: str, x, y, z) -> bool:
 # bits of a pair table in find_sunflower: a window holds at most this many
 # (row, column) bits, 8 KB a table, however many members the family has
 _PAIR_BITS = 1 << 16
+# families of fewer members skip the pair tables: on 3-12 members (n <= 8,
+# D <= 5) the tables' set-up costs more than calling `completions` per pair
+_PAIR_TABLES_FROM = 14
 
 
 def _pair_tables(rule: str, members, masks: list[dict[int, int]], lo: int, hi: int) -> list[dict]:
@@ -288,22 +328,37 @@ def find_sunflower(family: Family):
     first: the least index triple (a, b, c) with a < b < c and c among the
     `completions` of (a, b).
 
-    The rows b go in windows of max(1, _PAIR_BITS // N).  In a window the
-    AND of member a's `_pair_tables` holds completions(x_a, x_b) in row b,
-    and its lowest bit in a column c > b of a row b > a is a's least (b, c)
-    there.  Windows go in order, and a later window scans only the members
-    below the best a so far, so a member's first hit is its least pair.
+    A family of fewer than _PAIR_TABLES_FROM members goes over the pairs
+    (a, b) in order and takes the lowest completion c > b of the first
+    pair that has one: at most |F|^2 / 2 `completions` calls of n ANDs
+    each, which below that size cost less than building the tables.
+
+    A larger family goes by pair tables, its rows b in windows of
+    max(1, _PAIR_BITS // N).  In a window the AND of member a's
+    `_pair_tables` holds completions(x_a, x_b) in row b, and its lowest bit
+    in a column c > b of a row b > a is a's least (b, c) there.  Windows go
+    in order, and a later window scans only the members below the best a
+    so far, so a member's first hit is its least pair.
 
     A window costs n D^2 table products and one AND per member and
-    coordinate, each over its rows' N-bit masks at once: O(|F|^2 n) mask
-    operations in all, nearly all inside big-int ANDs, instead of |F|^3
-    triples."""
+    coordinate, each over its rows' N-bit masks at once, up to _PAIR_BITS
+    bits.  There are about max(1, |F|^2 / _PAIR_BITS) windows, so the bit
+    work grows as |F|^3 n, as a triple scan's does, but it runs a machine
+    word at a time inside big-int ANDs: |F| n ANDs a window, not |F|^3
+    triples of n coordinates."""
     members = family.members
     N = len(members)
     if N < 3:
         # no triple, so no masks or tables either
         return None
     masks = value_masks(members, family.n)
+    if N < _PAIR_TABLES_FROM:
+        full = (1 << N) - 1
+        for a, b in itertools.combinations(range(N), 2):
+            m = completions(family.setting, masks, members[a], members[b], full & -(2 << b))
+            if m:
+                return members[a], members[b], members[(m & -m).bit_length() - 1]
+        return None
     rows = max(1, _PAIR_BITS // N)
     # the members a still scanned are those below `top`: a < b < c needs
     # a < N - 2, and once a triple is found only a lower a can beat it

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from slicerank import bounds as bounds_mod
+from slicerank import cli
 from slicerank import setsys
 from slicerank import tensor as tensor_mod
 from slicerank.bounds import mod_count_bound
@@ -99,6 +100,22 @@ def test_malformed_member_names_its_line(family_file, capsys, text, message):
     path = family_file("bad.txt", text)
     for command in ("detect", "certify", "encode"):
         assert run(capsys, command, path) == (2, "", f"error: malformed family file: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text,D,line",
+    [
+        ("0,1\n1_0,0\n", [], "1_0,0"),
+        ("0,1,2\n1,0,\u0662\n", [], "1,0,\u0662"),
+        ("0\n+1\n", ["--D", "3"], "+1"),
+        ("0,1\n1, 0\n", [], "1, 0"),
+    ],
+)
+def test_lines_outside_the_grammar_are_refused(family_file, capsys, text, D, line):
+    path = family_file("bad.txt", text)
+    message = f"error: malformed family file: line 2: expected comma-separated digits, got {line!r}\n"
+    for command in ("detect", "certify"):
+        assert run(capsys, command, path, *D) == (2, "", message)
 
 
 def test_detect_missing_file(capsys):
@@ -696,3 +713,64 @@ def test_an_existing_artifact_is_not_truncated_on_open(family_file, capsys, tmp_
     assert run(capsys, *argv, path)[0] == 0
     flags = [f for file, f in opened if file == path]
     assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+
+# --- argv -----------------------------------------------------------------------
+
+FREE_BINARY = "10\n01\n11\n"
+# (argv, whether the top-level parser reads it, exit code)
+ARGV_TABLE = [
+    ([], True, 2),
+    (["bogus"], True, 2),
+    (["-h"], True, 0),
+    (["detect", "-h"], False, 0),
+    (["detect"], False, 2),
+    (["detect", "{family}", "--D", "z"], False, 2),
+    (["bounds", "--n", "q"], False, 2),
+    (["verify-tensor", "--setting", "binary"], False, 2),
+    (["encode", "{family}", "--json"], False, 2),
+    (["detect", "{family}", "extra"], True, 2),
+    (["certify", "{family}", "--bogus"], True, 2),
+    (["bounds", "--n", "2", "extra"], True, 2),
+    (["verify-tensor", "--setting", "binary", "--n", "2", "--bogus", "1"], True, 2),
+    (["search", "--setting", "binary", "--n", "2", "extra"], True, 2),
+    (["encode", "{family}", "extra", "--bogus"], True, 2),
+    (["detect", "{family}"], False, 0),
+    (["certify", "{family}"], False, 0),
+    (["bounds", "--n", "3", "--D", "3"], False, 0),
+    (["verify-tensor", "--setting", "mod-d", "--n", "2", "--D", "3"], False, 0),
+    (["search", "--setting", "binary", "--n", "3", "--budget", "50"], False, 0),
+    (["encode", "{family}"], False, 0),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv,full,code", ARGV_TABLE)
+def test_argv_gives_what_the_full_parse_gives(family_file, capsys, monkeypatch, argv, full, code):
+    # a known subcommand's own parser reads its argv, and the top-level
+    # parser only a leftover argument or a missing or unknown subcommand;
+    # every outcome, usage errors and help included, is byte for byte the
+    # one the top-level parser gives on its own
+    path = family_file("family.txt", FREE_BINARY)
+    argv = [a.format(family=path) for a in argv]
+    parser = cli._build_parser()[0]
+    full_parse = parser.parse_args
+    calls = []
+
+    def counted(args=None, namespace=None):
+        calls.append(args)
+        return full_parse(args, namespace)
+
+    monkeypatch.setattr(parser, "parse_args", counted)
+    got = _outcome(capsys, argv)
+    assert got[0] == code and bool(calls) == full
+    monkeypatch.setattr(cli, "_parse", full_parse)
+    assert _outcome(capsys, argv) == got

@@ -63,6 +63,62 @@ def test_family_rejects_duplicates_and_mixtures():
         Family(BINARY, 2, None, ((1, 0), (1, 0, 0)))
 
 
+def _reference_members(setting, n, D, members):
+    """Family's member check one member at a time, first fault first."""
+    digits = range(2 if setting == BINARY else D)
+    seen = set()
+    for m in members:
+        if type(m) is not tuple or len(m) != n:
+            raise ValueError(f"member {m!r} is not a tuple of n={n} coordinates")
+        if not all(map(digits.__contains__, m)):
+            raise ValueError(f"member {m} has a coordinate outside {digits}")
+        if m in seen:
+            raise ValueError(f"duplicate member {m}")
+        seen.add(m)
+    return tuple(sorted(seen))
+
+
+@st.composite
+def _members_with_a_fault(draw):
+    """(setting, n, D, members) with at most one planted fault: a
+    non-tuple, a wrong length, a negative or too-large digit, or a repeat."""
+    setting = draw(st.sampled_from([BINARY, MOD]))
+    M = 2 if setting == BINARY else draw(st.integers(2, 6))
+    n = draw(st.integers(1, 4))
+    members = draw(st.lists(st.tuples(*[st.integers(0, M - 1)] * n), max_size=12, unique=True))
+    fault = draw(st.sampled_from(["none", "list", "short", "long", "negative", "large",
+                                  "repeat"]))
+    if fault != "none" and members:
+        k = draw(st.integers(0, len(members) - 1))
+        m = members[k]
+        i = draw(st.integers(0, n - 1))
+        if fault == "list":
+            members[k] = list(m)
+        elif fault == "short":
+            members[k] = m[:-1]
+        elif fault == "long":
+            members[k] = m + (0,)
+        elif fault in ("negative", "large"):
+            members[k] = m[:i] + (-1 if fault == "negative" else M,) + m[i + 1:]
+        else:
+            members.insert(draw(st.integers(0, len(members))), m)
+    return setting, n, None if setting == BINARY else M, draw(st.sampled_from([tuple, list]))(members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_members_with_a_fault())
+def test_family_checks_name_the_fault_a_member_loop_names(case):
+    setting, n, D, members = case
+    try:
+        want = _reference_members(setting, n, D, members)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Family(setting, n, D, members)
+        assert str(got.value) == str(exc)
+    else:
+        assert Family(setting, n, D, members).members == want
+
+
 def test_family_members_sorted():
     f = binary_family((1, 1), (0, 1), (1, 0))
     assert list(f) == [(0, 1), (1, 0), (1, 1)]
@@ -137,7 +193,7 @@ def test_parse_errors_carry_line_numbers():
     "text,D,message",
     [
         ("10\n01\n10\n", None, "line 3: duplicate member 10"),
-        ("# pts\n1,0\n0,1\n1, 0  # again\n", None, "line 4: duplicate member 1, 0"),
+        ("# pts\n1,0\n0,1\n1,0  # again\n", None, "line 4: duplicate member 1,0"),
         ("10\n011\n", None, "line 2: expected 2 coordinates, got 3"),
         ("0,1\n2\n", 3, "line 2: expected 2 coordinates, got 1"),
         ("0,1,2\n\n1,1\n", None, "line 3: expected 3 coordinates, got 2"),
@@ -147,6 +203,47 @@ def test_parse_errors_name_the_line_of_a_bad_member(text, D, message):
     with pytest.raises(FamilyFormatError) as exc:
         parse_family(text, D=D)
     assert str(exc.value) == message
+
+
+# lines int() would read but the grammar does not name: an underscore, a
+# non-ASCII digit, a sign, a space inside the line
+@pytest.mark.parametrize(
+    "text,D,message",
+    [
+        ("0,1\n1_0,0\n", None, "line 2: expected comma-separated digits, got '1_0,0'"),
+        ("0,1,2\n1,0,\u0662\n", None,
+         "line 2: expected comma-separated digits, got '1,0,\u0662'"),
+        ("0\n+1\n", 3, "line 2: expected comma-separated digits, got '+1'"),
+        ("0,1\n\n1, 0\n", None, "line 3: expected comma-separated digits, got '1, 0'"),
+        ("0,1\n 1,0 \t# cut\n", None, None),
+        # lines int() refuses, or reads as negative, keep their messages
+        ("0,1\n1,x\n", None, "line 2: expected comma-separated digits, got '1,x'"),
+        ("0,1\n-1,0\n", None, "line 2: negative coordinate"),
+        ("0,1\n-1, 0\n", None, "line 2: negative coordinate"),
+        ("0,1\n1,,0\n", None, "line 2: expected comma-separated digits, got '1,,0'"),
+        ("01\n+1\n", None, "line 2: expected a 0/1 string, got '+1'"),
+    ],
+)
+def test_parse_reads_exactly_the_line_grammar(text, D, message):
+    if message is None:
+        assert parse_family(text, D=D).members == ((0, 1), (1, 0))
+        return
+    with pytest.raises(FamilyFormatError) as exc:
+        parse_family(text, D=D)
+    assert str(exc.value) == message
+
+
+def test_parse_reads_fields_of_any_width():
+    f = parse_family("0,11\n10,1\n007,2\n")
+    assert f.D == 12 and f.members == ((0, 11), (7, 2), (10, 1))
+    assert parse_family("1,0\n0,1\n", D=10).members == ((0, 1), (1, 0))
+
+
+def test_parse_names_the_line_of_a_coordinate_past_d():
+    # every line's range is checked before any line's length or novelty
+    with pytest.raises(FamilyFormatError) as exc:
+        parse_family("0,1\n0,1\n0,1,2\n3,0\n", D=3)
+    assert str(exc.value) == "line 4: coordinate >= D=3"
 
 
 def test_parse_rejects_an_alphabet_below_two():
@@ -442,13 +539,15 @@ def test_find_sunflower_edge_families(fam):
 @pytest.mark.parametrize(
     "check", [test_find_sunflower_matches_triple_scan, test_mod3_sunflower_matches_progression_scan])
 def test_sunflower_scans_match_in_one_row_windows(check):
-    with mock.patch.object(setsys, "_PAIR_BITS", 1):
+    with mock.patch.object(setsys, "_PAIR_BITS", 1), \
+            mock.patch.object(setsys, "_PAIR_TABLES_FROM", 3):
         check()
 
 
 @pytest.mark.parametrize("fam", SUNFLOWER_EDGE_FAMILIES)
 def test_find_sunflower_edge_families_in_one_row_windows(fam):
-    with mock.patch.object(setsys, "_PAIR_BITS", 1):
+    with mock.patch.object(setsys, "_PAIR_BITS", 1), \
+            mock.patch.object(setsys, "_PAIR_TABLES_FROM", 3):
         test_find_sunflower_edge_families(fam)
 
 
@@ -489,6 +588,34 @@ def test_pair_tables_stay_within_their_bit_budget(monkeypatch):
     # 109 rows of 600 bits a window
     assert len(windows) == -(-600 // (setsys._PAIR_BITS // 600))
     assert max(windows) <= setsys._PAIR_BITS + len(fam)
+
+
+@settings(max_examples=150, deadline=None)
+@given(families(max_size=2 * setsys._PAIR_TABLES_FROM))
+def test_pair_loop_and_pair_tables_find_the_same_triple(fam):
+    # tables from three members on, and the pair loop at every size, around
+    # the size where find_sunflower switches from one to the other
+    want = _scan_sunflower(fam)
+    for start in (3, len(fam) + 1):
+        with mock.patch.object(setsys, "_PAIR_TABLES_FROM", start):
+            assert find_sunflower(fam) == want
+
+
+def test_pair_tables_are_built_from_the_crossover_on(monkeypatch):
+    # {0,1}^5 is a capset, so the scan reaches every pair and every window
+    points = tuple(itertools.product((0, 1), repeat=5))
+    real = setsys._pair_tables
+    windows = []
+
+    def spy(*args):
+        windows.append(args[3:])
+        return real(*args)
+
+    monkeypatch.setattr(setsys, "_pair_tables", spy)
+    for size in (setsys._PAIR_TABLES_FROM - 1, setsys._PAIR_TABLES_FROM):
+        windows.clear()
+        assert find_sunflower(Family(MOD, 5, 3, points[:size])) is None
+        assert windows == ([] if size < setsys._PAIR_TABLES_FROM else [(0, size)])
 
 
 def test_planted_lex_largest_witness():
