@@ -295,7 +295,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_encode)
 
-    # the subparsers action's choices: each subcommand's parser by name
     return parser, sub.choices
 
 
